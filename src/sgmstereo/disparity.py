@@ -9,6 +9,9 @@ import numpy as np
 from .aggregation import _check_volume, _walk
 from .params import Direction, SgmParams
 
+# bytes of the 16-bit accumulator per block of rows in select_rows
+_BLOCK_BYTES = 1 << 19
+
 
 def _check_volumes(volumes: Sequence[np.ndarray]) -> tuple[int, int, int]:
     if not volumes:
@@ -28,12 +31,21 @@ def select_rows(volumes: Sequence[np.ndarray], out: np.ndarray, y0: int, y1: int
     keep the lowest disparity attaining the minimum.
 
     The sum of up to eight byte volumes peaks at 8 * 255, so a 16-bit
-    accumulator is exact.
+    accumulator is exact.  The sum is built a block of rows at a time in
+    one small reused accumulator: each volume is read once, the accumulator
+    stays in cache, and the memory a call touches does not grow with its
+    row range.
     """
-    total = np.zeros(volumes[0][y0:y1].shape, dtype=np.uint16)
-    for v in volumes:
-        total += v[y0:y1]
-    out[y0:y1] = np.argmin(total, axis=2)
+    width, disparities = volumes[0].shape[1:]
+    block = max(1, min(y1 - y0, _BLOCK_BYTES // (2 * width * disparities)))
+    total = np.empty((block, width, disparities), dtype=np.uint16)
+    for r0 in range(y0, y1, block):
+        r1 = min(r0 + block, y1)
+        acc = total[: r1 - r0]
+        np.copyto(acc, volumes[0][r0:r1])
+        for v in volumes[1:]:
+            np.add(acc, v[r0:r1], out=acc)
+        out[r0:r1] = np.argmin(acc, axis=2)
 
 
 def select_disparity(volumes: Sequence[np.ndarray], params: SgmParams | None = None) -> np.ndarray:
@@ -110,6 +122,6 @@ def fused_last_path_select(
     for v in partial:
         total += v
     out = np.empty((height, width), dtype=np.int32)
-    for index, slab in _walk(mc, last_direction, params.p1, params.p2):
-        out[index] = np.argmin(total[index] + slab, axis=-1)
+    for index, block in _walk(mc, last_direction, params.p1, params.p2):
+        out[index] = np.argmin(total[index] + block, axis=-1)
     return out

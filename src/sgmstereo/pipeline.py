@@ -115,9 +115,22 @@ class Executor:
     # below this many volume cells the fork/dispatch overhead outweighs any
     # speedup; the output is identical either way
     MIN_PARALLEL_CELLS = 2_000_000
+    # pooled row stages are cut into this many tasks per worker.  Workers
+    # pull tasks from one queue, so a worker that loses its CPU for a while
+    # (a busy host, another process) leaves its remaining share to the
+    # others instead of holding up the whole stage
+    ROW_TASKS_PER_WORKER = 4
 
     def __init__(self, left: np.ndarray, right: np.ndarray, params: SgmParams,
                  median: bool = True, threads: int = 1):
+        left, right = np.asarray(left), np.asarray(right)
+        for name, image in (("left", left), ("right", right)):
+            if image.ndim != 2:
+                raise ConfigError(f"{name} image must be 2-d grayscale, got shape {image.shape}")
+            if image.size == 0:
+                raise ConfigError(f"{name} image is empty, shape {image.shape}")
+            if image.dtype != np.uint8:
+                raise ConfigError(f"{name} image must be uint8, got {image.dtype}")
         if left.shape != right.shape:
             raise ConfigError(f"dimension mismatch: left {left.shape} vs right {right.shape}")
         self.params = params
@@ -150,6 +163,7 @@ class Executor:
         # fork only after every shared buffer exists so children inherit them
         self.pool = ForkPool(self.workers, bufs) if self._parallel else None
         self._chunks = self.workers if self._parallel else 1
+        self._row_chunks = self.ROW_TASKS_PER_WORKER * self.workers if self._parallel else 1
 
     def close(self) -> None:
         if self.pool is not None:
@@ -177,7 +191,7 @@ class Executor:
     def run(self, timings: dict[str, float] | None = None) -> np.ndarray:
         """One full compute pass; returns a copy of the disparity map."""
         bufs = self.buffers
-        rows = split_ranges(self.height, self._chunks)
+        rows = split_ranges(self.height, self._row_chunks)
 
         def timed(name: str, tasks: list[Task]) -> None:
             t0 = time.perf_counter()
@@ -214,7 +228,11 @@ def compute_disparity(
     median: bool = True,
     threads: int = 1,
 ) -> np.ndarray:
-    """Library entry point: disparity map for an in-memory image pair."""
+    """Library entry point: disparity map for an in-memory image pair.
+
+    Raises :class:`ConfigError` (a ``ValueError``) unless both images are
+    non-empty 2-d uint8 arrays of the same shape.
+    """
     with Executor(left, right, params, median=median, threads=threads) as ex:
         return ex.run()
 
@@ -249,6 +267,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     bench: BenchReport | None = None
     with Executor(left, right, params, median=config.median, threads=config.threads) as ex:
         if config.bench_iters > 0:
+            ex.run()  # untimed warm-up: the first frame pays page faults and cold caches
             timings: dict[str, float] = {}
             t0 = time.perf_counter()
             for _ in range(config.bench_iters):

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing as mp
+import multiprocessing.connection as mp_connection
+import signal
 import traceback
 from typing import Callable, Mapping, Sequence
 
@@ -57,6 +59,8 @@ def run_tasks(pool: "ForkPool | None", buffers: Buffers, tasks: Sequence[Task]) 
 
 
 def _worker_main(buffers: Buffers, task_queue, done_queue) -> None:
+    # an interrupt is the parent's to handle: it terminates the pool
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     while True:
         item = task_queue.get()
         if item is None:
@@ -64,7 +68,7 @@ def _worker_main(buffers: Buffers, task_queue, done_queue) -> None:
         fn, kwargs = item
         try:
             fn(buffers, **kwargs)
-        except BaseException:
+        except Exception:
             done_queue.put(("error", traceback.format_exc()))
         else:
             done_queue.put(("ok", None))
@@ -74,7 +78,9 @@ class ForkPool:
     """A fixed set of forked workers sharing the given buffer dict.
 
     Fork the pool only after every shared buffer has been created; children
-    resolve buffer names against the dict snapshot they inherited.
+    resolve buffer names against the dict snapshot they inherited.  A worker
+    that dies, or an interrupt while tasks are in flight, breaks the pool:
+    :meth:`run` raises and :meth:`close` terminates the remaining workers.
     """
 
     def __init__(self, workers: int, buffers: Buffers):
@@ -85,6 +91,7 @@ class ForkPool:
         ctx = mp.get_context("fork")
         self._tasks = ctx.SimpleQueue()
         self._done = ctx.SimpleQueue()
+        self._broken = False
         self._procs = [
             ctx.Process(target=_worker_main, args=(buffers, self._tasks, self._done), daemon=True)
             for _ in range(workers)
@@ -93,22 +100,53 @@ class ForkPool:
             p.start()
 
     def run(self, tasks: Sequence[Task]) -> None:
-        """Dispatch all tasks and block until every one has finished."""
-        for task in tasks:
-            self._tasks.put(task)
-        failures = []
-        for _ in tasks:
-            status, payload = self._done.get()
-            if status != "ok":
-                failures.append(payload)
+        """Dispatch all tasks and block until every one has finished.
+
+        Raises RuntimeError when a task raises or a worker process dies.
+        """
+        if self._broken:
+            raise RuntimeError("worker pool is broken by an earlier failure")
+        if not self._procs:
+            raise RuntimeError("worker pool is closed")
+        try:
+            for task in tasks:
+                self._tasks.put(task)
+            failures = []
+            # the reader of the result queue, as multiprocessing.Pool waits on it
+            results = self._done._reader
+            sentinels = {p.sentinel: p for p in self._procs}
+            pending = len(tasks)
+            while pending:
+                ready = mp_connection.wait([results, *sentinels])
+                if results in ready:
+                    status, payload = self._done.get()
+                    pending -= 1
+                    if status != "ok":
+                        failures.append(payload)
+                    continue
+                dead = sentinels[ready[0]]
+                dead.join()
+                raise RuntimeError(
+                    f"worker process {dead.pid} died with exit code {dead.exitcode} "
+                    f"with {pending} of {len(tasks)} tasks unfinished"
+                )
+        except BaseException:
+            self._broken = True
+            raise
         if failures:
             raise RuntimeError("worker task failed:\n" + failures[0])
 
     def close(self) -> None:
-        for _ in self._procs:
-            self._tasks.put(None)
+        """Stop the workers; after a failure, terminate the survivors."""
+        if self._broken:
+            for p in self._procs:
+                p.terminate()
+        else:
+            for _ in self._procs:
+                self._tasks.put(None)
         for p in self._procs:
             p.join()
+        self._procs = []
 
     def __enter__(self) -> "ForkPool":
         return self

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgmstereo import PATH_SETS, SgmParams, aggregate_all, aggregate_path, matching_cost
-from sgmstereo.aggregation import aggregate_axis_chunk
+from sgmstereo import aggregation
+from sgmstereo.aggregation import _relax, _Scratch, aggregate_axis_chunk
 from sgmstereo.oracle import oracle_sgm
 
 from conftest import hamming_volumes, sgm_params
@@ -133,3 +135,59 @@ def test_invalid_params_rejected():
         SgmParams(p1=1, p2=225)
     with pytest.raises(ValueError):
         SgmParams(paths=3)
+
+
+def relax_reference(prev: np.ndarray, cost: np.ndarray, p1: int, p2: int) -> np.ndarray:
+    """The recurrence step written per cell with Python integers."""
+    front, disparities = prev.shape
+    out = np.empty_like(cost)
+    for i in range(front):
+        line = [int(v) for v in prev[i]]
+        pmin = min(line)
+        for d in range(disparities):
+            best = min(line[d], pmin + p2)
+            if d > 0:
+                best = min(best, line[d - 1] + p1)
+            if d + 1 < disparities:
+                best = min(best, line[d + 1] + p1)
+            out[i, d] = int(cost[i, d]) + best - pmin
+    return out
+
+
+@st.composite
+def relax_cases(draw):
+    p2 = draw(st.sampled_from([2, 84, 224]) | st.integers(2, 224))
+    p1 = draw(st.sampled_from([1, p2 - 1]) | st.integers(1, p2 - 1))
+    front = draw(st.sampled_from([1, 2]) | st.integers(1, 7))
+    disparities = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 9))
+    shape = (front, disparities)
+    prev = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 255)))
+    cost = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 255 - p2)))
+    return prev, cost, p1, p2
+
+
+@given(relax_cases(), st.booleans())
+@example((np.array([[255]], np.uint8), np.array([[31]], np.uint8), 1, 224), False)
+@example((np.array([[0, 255]], np.uint8), np.array([[31, 0]], np.uint8), 223, 224), True)
+@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), False)
+@settings(deadline=None, max_examples=300)
+def test_relax_matches_per_cell_formula(case, in_place):
+    prev, cost, p1, p2 = case
+    expected = relax_reference(prev, cost, p1, p2)
+    s = _Scratch(prev.shape[0], prev.shape[1], p1, p2)
+    prev_copy = prev.copy()
+    out = prev_copy if in_place else np.empty_like(prev)
+    _relax(prev_copy, cost, s, out)
+    assert (out == expected).all()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
+    # block_bytes=1 gives one front per block, so each step's result buffer is
+    # its own predecessor; 100 gives ragged blocks of 3-5 fronts
+    monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(9)
+    mc = rng.integers(0, 32, (5, 7, 4), np.uint8)
+    params = SgmParams(disparities=4, p1=3, p2=40, paths=8)
+    for direction in ALL_DIRECTIONS:
+        assert (aggregate_path(mc, direction, params) == oracle_sgm(mc, direction, params)).all()

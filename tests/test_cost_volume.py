@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmstereo import dump_cost_volume, load_cost_volume, matching_cost
+from sgmstereo import cost_volume, dump_cost_volume, load_cost_volume, matching_cost
 from sgmstereo.cost_volume import matching_cost_rows
 from sgmstereo.oracle import oracle_matching_cost
 
@@ -102,3 +102,16 @@ def test_rejects_bad_inputs():
         matching_cost(a, a, 257)
     with pytest.raises(ValueError):
         matching_cost(a.astype(np.uint64), a.astype(np.uint64), 2)
+
+
+def test_row_ranges_straddling_blocks_match_oracle(monkeypatch):
+    # blocks of 3 rows; D > W, so most match reads clamp to column 0
+    height, width, disparities = 11, 5, 9
+    monkeypatch.setattr(cost_volume, "_BLOCK_BYTES", 3 * disparities * width)
+    rng = np.random.default_rng(4)
+    base = rng.integers(0, 2**31, (height, width), np.uint32)
+    match = rng.integers(0, 2**31, (height, width), np.uint32)
+    out = np.zeros((height, width, disparities), np.uint8)
+    for y0, y1 in ((0, 4), (4, 11)):
+        matching_cost_rows(base, match, out, y0, y1)
+    assert (out == oracle_matching_cost(base, match, disparities)).all()

@@ -13,7 +13,8 @@ from sgmstereo import (
     median_filter_3x3,
     select_disparity,
 )
-from sgmstereo.disparity import median_rows
+from sgmstereo import disparity
+from sgmstereo.disparity import median_rows, select_rows
 
 from conftest import hamming_volumes
 
@@ -112,6 +113,18 @@ def test_median_row_chunks_match_single_call():
     for y0, y1 in ((0, 2), (2, 7), (7, 10)):
         median_rows(m, chunked, y0, y1)
     assert (chunked == whole).all()
+
+
+def test_select_rows_blocks_match_direct_sum(monkeypatch):
+    # 3-row accumulator blocks at W=5, D=4: row ranges start and end mid-block
+    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 2 * 5 * 4)
+    rng = np.random.default_rng(8)
+    volumes = [rng.integers(0, 256, (11, 5, 4), np.uint8) for _ in range(8)]
+    expected = np.argmin(sum(v.astype(np.int64) for v in volumes), axis=2)
+    out = np.full((11, 5), -1, np.int32)
+    for y0, y1 in ((0, 1), (1, 5), (5, 5), (5, 11)):
+        select_rows(volumes, out, y0, y1)
+    assert (out == expected).all()
 
 
 def _random_cost_volume(width, height, disparities, seed):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +16,10 @@ from sgmstereo import (
     write_disparity,
     write_pgm,
 )
+from sgmstereo import pipeline
 from sgmstereo.oracle import oracle_pipeline
 from sgmstereo.pipeline import Executor
+from sgmstereo.workers import fork_available
 
 
 def test_zero_shift_pair_gives_all_zero_map():
@@ -67,6 +71,43 @@ def test_worker_counts_agree(paths):
     base = compute_disparity(left, right, params, threads=1)
     for threads in (2, 8):
         assert (compute_disparity(left, right, params, threads=threads) == base).all()
+
+
+@pytest.mark.parametrize("paths", [2, 4, 8])
+def test_forked_pool_matches_oracle(monkeypatch, paths):
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = shifted_pair(23, 17, 3, seed=15)
+    params = SgmParams(disparities=8, p1=5, p2=60, paths=paths)
+    with Executor(left, right, params, threads=2) as ex:
+        if fork_available() and (os.cpu_count() or 1) >= 2:
+            assert ex.pool is not None
+        disp = ex.run()
+    assert (disp == oracle_pipeline(left, right, params)).all()
+
+
+def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch):
+    if not fork_available() or (os.cpu_count() or 1) < 2:
+        pytest.skip("needs fork and two CPUs for a pool")
+    left, right = shifted_pair(40, 30, 4, seed=16)
+    params = SgmParams(disparities=16, paths=4)
+    serial = compute_disparity(left, right, params, threads=1)
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    batches = []
+    original = pipeline.run_tasks
+
+    def recording_run_tasks(pool, buffers, tasks):
+        batches.append(len(tasks))
+        return original(pool, buffers, tasks)
+
+    monkeypatch.setattr(pipeline, "run_tasks", recording_run_tasks)
+    with Executor(left, right, params, threads=2) as ex:
+        assert ex.pool is not None
+        disp = ex.run()
+    assert (disp == serial).all()
+    rows = Executor.ROW_TASKS_PER_WORKER * 2
+    # census (two images), cost, four axis directions (a chunk per worker),
+    # selection, median
+    assert batches == [2 * rows, rows, 2, 2, 2, 2, rows, rows]
 
 
 def test_executor_reuse_is_stable():
@@ -165,3 +206,32 @@ def test_invalid_params_are_config_errors(tmp_path):
         run_pipeline(PipelineConfig(left=lp, right=rp, output=op, disparities=16, bench_iters=-1, threads=1))
     with pytest.raises(ConfigError):
         run_pipeline(PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=0))
+
+
+@pytest.mark.parametrize(
+    ("shape", "dtype", "problem"),
+    [((0, 8), np.uint8, "empty"), ((4, 8, 3), np.uint8, "2-d"), ((4, 8), np.float64, "uint8")],
+    ids=["empty", "three-d", "float"],
+)
+def test_bad_images_are_config_errors(shape, dtype, problem):
+    image = np.zeros(shape, dtype)
+    with pytest.raises(ConfigError, match=problem):
+        compute_disparity(image, image, SgmParams(disparities=4, paths=2))
+    assert issubclass(ConfigError, ValueError)
+
+
+def test_bench_times_iterations_after_one_warmup_frame(tmp_path, monkeypatch):
+    lp, rp, op = _write_pair(tmp_path)
+    timed_calls = []
+    original = Executor.run
+
+    def counting_run(self, timings=None):
+        timed_calls.append(timings is not None)
+        return original(self, timings)
+
+    monkeypatch.setattr(Executor, "run", counting_run)
+    result = run_pipeline(
+        PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=1, bench_iters=3)
+    )
+    assert timed_calls == [False, True, True, True]
+    assert result.bench.iterations == 3
