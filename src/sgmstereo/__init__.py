@@ -4,7 +4,7 @@ cost smoothing, plus a scalar reference lane for differential testing."""
 from .aggregation import aggregate_all, aggregate_path
 from .census import FLAT_FEATURE, PAIR_OFFSETS, census_transform
 from .cost_volume import dump_cost_volume, load_cost_volume, matching_cost
-from .disparity import fused_last_path_select, median_filter_3x3, select_disparity
+from .disparity import median_filter_3x3, select_disparity
 from .evaluation import CameraGeometry, EvalResult, bad_pixel_rate, disparity_to_depth, metrics_csv
 from .image_io import (
     PgmError,
@@ -49,7 +49,6 @@ __all__ = [
     "compute_disparity",
     "disparity_to_depth",
     "dump_cost_volume",
-    "fused_last_path_select",
     "load_cost_volume",
     "load_disparity",
     "load_pgm",

@@ -156,30 +156,35 @@ def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
         )
 
 
-def aggregate_axis_chunk(
-    mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int
+def aggregate_lines(
+    mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int,
+    lo: int = 0, hi: int | None = None, add: bool = False,
 ) -> None:
-    """Aggregate an axis-aligned direction over a slice range.
+    """Aggregate the lines [lo, hi) of one direction, writing the smoothed
+    costs into ``out`` or, with ``add``, adding them to it.
 
-    For horizontal directions [lo, hi) selects rows, for vertical directions
-    columns; every selected line is a complete path, so chunked and
-    single-call execution agree bit for bit.
+    Horizontal lines are rows and vertical lines columns; every selected
+    line is a complete path, so chunked and single-call execution agree bit
+    for bit.  A diagonal direction couples columns across a front, so it
+    takes the whole volume: [lo, hi) must span every column.  ``out`` may be
+    wider than uint8, such as a uint16 sum over directions.
     """
     rx, ry = direction
-    if rx != 0 and ry != 0:
-        raise ValueError("diagonal directions couple columns across a front and cannot be chunked")
+    height, width = mc.shape[:2]
+    if hi is None:
+        hi = height if ry == 0 else width
     if ry == 0:
         sub_mc, sub_out = mc[lo:hi], out[lo:hi]
-    else:
+    elif rx == 0 or (lo, hi) == (0, width):
         sub_mc, sub_out = mc[:, lo:hi], out[:, lo:hi]
+    else:
+        raise ValueError("diagonal directions couple columns across a front and cannot be chunked")
     for index, block in _walk(sub_mc, direction, p1, p2):
-        sub_out[index] = block
-
-
-def aggregate_full(mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int) -> None:
-    """Aggregate one direction over the whole volume into ``out``."""
-    for index, block in _walk(mc, direction, p1, p2):
-        out[index] = block
+        if add:
+            part = sub_out[index]
+            np.add(part, block, out=part)
+        else:
+            sub_out[index] = block
 
 
 def aggregate_path(mc: np.ndarray, direction: Direction, params: SgmParams) -> np.ndarray:
@@ -190,7 +195,7 @@ def aggregate_path(mc: np.ndarray, direction: Direction, params: SgmParams) -> n
     if rx not in (-1, 0, 1) or ry not in (-1, 0, 1) or (rx == 0 and ry == 0):
         raise ValueError(f"invalid path direction {direction!r}")
     out = np.empty_like(mc)
-    aggregate_full(mc, out, direction, params.p1, params.p2)
+    aggregate_lines(mc, out, direction, params.p1, params.p2)
     return out
 
 

@@ -6,8 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .aggregation import _check_volume, _walk
-from .params import Direction, SgmParams
+from .params import SgmParams
 
 # bytes of the 16-bit accumulator per block of rows in select_rows
 _BLOCK_BYTES = 1 << 19
@@ -34,17 +33,21 @@ def select_rows(volumes: Sequence[np.ndarray], out: np.ndarray, y0: int, y1: int
     accumulator is exact.  The sum is built a block of rows at a time in
     one small reused accumulator: each volume is read once, the accumulator
     stays in cache, and the memory a call touches does not grow with its
-    row range.
+    row range.  A single volume, such as the pipeline's summed cost, is
+    searched in place.
     """
     width, disparities = volumes[0].shape[1:]
     block = max(1, min(y1 - y0, _BLOCK_BYTES // (2 * width * disparities)))
-    total = np.empty((block, width, disparities), dtype=np.uint16)
+    total = np.empty((block, width, disparities), dtype=np.uint16) if len(volumes) > 1 else None
     for r0 in range(y0, y1, block):
         r1 = min(r0 + block, y1)
-        acc = total[: r1 - r0]
-        np.copyto(acc, volumes[0][r0:r1])
-        for v in volumes[1:]:
-            np.add(acc, v[r0:r1], out=acc)
+        if total is None:
+            acc = volumes[0][r0:r1]
+        else:
+            acc = total[: r1 - r0]
+            np.copyto(acc, volumes[0][r0:r1])
+            for v in volumes[1:]:
+                np.add(acc, v[r0:r1], out=acc)
         out[r0:r1] = np.argmin(acc, axis=2)
 
 
@@ -90,38 +93,4 @@ def median_filter_3x3(disparity: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a non-empty 2-d map, got shape {disparity.shape}")
     out = disparity.copy()
     median_rows(disparity, out, 0, disparity.shape[0])
-    return out
-
-
-def fused_last_path_select(
-    mc: np.ndarray,
-    partial: Sequence[np.ndarray],
-    last_direction: Direction,
-    params: SgmParams,
-) -> np.ndarray:
-    """Aggregate the final direction and select disparities in one sweep.
-
-    ``partial`` holds the already-aggregated volumes of every other
-    direction.  The last direction's costs are folded into the running sum
-    front by front and never materialised, saving one full volume of
-    traffic; the result is bit-identical to aggregating it separately and
-    calling :func:`select_disparity`.
-    """
-    mc = np.asarray(mc)
-    _check_volume(mc, params)
-    if len(partial) != len(params.directions) - 1:
-        raise ValueError(
-            f"expected {len(params.directions) - 1} partial volumes for paths={params.paths}, "
-            f"got {len(partial)}"
-        )
-    for v in partial:
-        if v.shape != mc.shape:
-            raise ValueError(f"shape mismatch between volumes: {v.shape} vs {mc.shape}")
-    height, width, _ = mc.shape
-    total = np.zeros(mc.shape, dtype=np.uint16)
-    for v in partial:
-        total += v
-    out = np.empty((height, width), dtype=np.int32)
-    for index, block in _walk(mc, last_direction, params.p1, params.p2):
-        out[index] = np.argmin(total[index] + block, axis=-1)
     return out

@@ -1,6 +1,7 @@
 """End-to-end pipeline orchestration: census features, matching cost,
-per-direction smoothing, winner-takes-all selection and median filtering,
-with optional evaluation against ground truth and compute-only benchmarking.
+path smoothing summed into one cost volume, winner-takes-all selection and
+median filtering, with optional evaluation against ground truth and
+compute-only benchmarking.
 
 File I/O happens strictly outside the timed compute region.  Output maps are
 bit-identical across worker counts: every stage is partitioned into tasks
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import aggregate_axis_chunk, aggregate_full
+from .aggregation import aggregate_lines
 from .census import census_rows
 from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
@@ -92,16 +93,12 @@ def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
     matching_cost_rows(bufs["census_left"], bufs["census_right"], bufs["mc"], y0, y1)
 
 
-def _aggregate_chunk_task(bufs: Buffers, dst: str, direction: Direction, p1: int, p2: int, lo: int, hi: int) -> None:
-    aggregate_axis_chunk(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi)
+def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int, add: bool) -> None:
+    aggregate_lines(bufs["mc"], bufs["cost_sum"], direction, p1, p2, lo, hi, add)
 
 
-def _aggregate_full_task(bufs: Buffers, dst: str, direction: Direction, p1: int, p2: int) -> None:
-    aggregate_full(bufs["mc"], bufs[dst], direction, p1, p2)
-
-
-def _select_task(bufs: Buffers, volume_keys: tuple[str, ...], y0: int, y1: int) -> None:
-    select_rows([bufs[k] for k in volume_keys], bufs["disp_raw"], y0, y1)
+def _select_task(bufs: Buffers, y0: int, y1: int) -> None:
+    select_rows([bufs["cost_sum"]], bufs["disp_raw"], y0, y1)
 
 
 def _median_task(bufs: Buffers, y0: int, y1: int) -> None:
@@ -145,18 +142,18 @@ class Executor:
         alloc = shared_empty if self._parallel else (lambda shape, dtype: np.empty(shape, dtype))
 
         height, width, disparities = self.height, self.width, params.disparities
-        self.volume_keys = tuple(_direction_name(d) for d in params.directions)
         bufs: dict[str, np.ndarray] = {
             "left": alloc((height, width), np.uint8),
             "right": alloc((height, width), np.uint8),
             "census_left": alloc((height, width), np.uint32),
             "census_right": alloc((height, width), np.uint32),
             "mc": alloc((height, width, disparities), np.uint8),
+            # S(p, d): the sum over directions of the smoothed costs, at most
+            # 8 * 255, so 16 bits are exact
+            "cost_sum": alloc((height, width, disparities), np.uint16),
             "disp_raw": alloc((height, width), np.int32),
             "disp_out": alloc((height, width), np.int32),
         }
-        for key in self.volume_keys:
-            bufs[key] = alloc((height, width, disparities), np.uint8)
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
         self.buffers = bufs
@@ -176,16 +173,15 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _aggregation_tasks(self, direction: Direction, dst: str) -> list[Task]:
+    def _aggregation_tasks(self, direction: Direction, add: bool) -> list[Task]:
         rx, ry = direction
         p1, p2 = self.params.p1, self.params.p2
-        if rx != 0 and ry != 0:
-            # diagonal fronts span whole rows; the direction runs as one task
-            return [(_aggregate_full_task, dict(dst=dst, direction=direction, p1=p1, p2=p2))]
         extent = self.height if ry == 0 else self.width
+        # diagonal fronts span whole rows; the direction runs as one task
+        chunks = 1 if rx != 0 and ry != 0 else self._chunks
         return [
-            (_aggregate_chunk_task, dict(dst=dst, direction=direction, p1=p1, p2=p2, lo=lo, hi=hi))
-            for lo, hi in split_ranges(extent, self._chunks)
+            (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, add=add))
+            for lo, hi in split_ranges(extent, chunks)
         ]
 
     def run(self, timings: dict[str, float] | None = None) -> np.ndarray:
@@ -206,11 +202,11 @@ class Executor:
         ]
         timed("census", census_tasks)
         timed("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-        for direction, key in zip(self.params.directions, self.volume_keys):
-            timed(_direction_name(direction), self._aggregation_tasks(direction, key))
-        timed("selection", [
-            (_select_task, dict(volume_keys=self.volume_keys, y0=y0, y1=y1)) for y0, y1 in rows
-        ])
+        # the first direction overwrites every cell of the sum, the others add
+        # to it; the tasks of one direction touch disjoint cells
+        for i, direction in enumerate(self.params.directions):
+            timed(_direction_name(direction), self._aggregation_tasks(direction, add=i > 0))
+        timed("selection", [(_select_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
         if self.median:
             t0 = time.perf_counter()
             np.copyto(bufs["disp_out"], bufs["disp_raw"])  # borders pass through

@@ -61,8 +61,16 @@ def run_tasks(pool: "ForkPool | None", buffers: Buffers, tasks: Sequence[Task]) 
 def _worker_main(buffers: Buffers, task_queue, done_queue) -> None:
     # an interrupt is the parent's to handle: it terminates the pool
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    # keep only the pipe ends a worker uses, so once the parent is gone, even
+    # killed outright, the task pipe has no writer left and get() sees
+    # end-of-file instead of blocking forever
+    task_queue._writer.close()
+    done_queue._reader.close()
     while True:
-        item = task_queue.get()
+        try:
+            item = task_queue.get()
+        except EOFError:
+            return
         if item is None:
             return
         fn, kwargs = item

@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from sgmstereo import PATH_SETS, SgmParams, aggregate_all, aggregate_path, matching_cost
 from sgmstereo import aggregation
-from sgmstereo.aggregation import _relax, _Scratch, aggregate_axis_chunk
+from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines
 from sgmstereo.oracle import oracle_sgm
 
 from conftest import hamming_volumes, sgm_params
@@ -103,7 +103,7 @@ def test_axis_chunks_match_full_run():
         extent = mc.shape[0] if direction[1] == 0 else mc.shape[1]
         cut = extent // 3
         for lo, hi in ((0, cut), (cut, extent)):
-            aggregate_axis_chunk(mc, chunked, direction, params.p1, params.p2, lo, hi)
+            aggregate_lines(mc, chunked, direction, params.p1, params.p2, lo, hi)
         assert (chunked == whole).all()
 
 

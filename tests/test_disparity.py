@@ -3,16 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sgmstereo import (
-    SgmParams,
-    aggregate_all,
-    aggregate_path,
-    census_transform,
-    fused_last_path_select,
-    matching_cost,
-    median_filter_3x3,
-    select_disparity,
-)
+from sgmstereo import median_filter_3x3, select_disparity
 from sgmstereo import disparity
 from sgmstereo.disparity import median_rows, select_rows
 
@@ -127,31 +118,14 @@ def test_select_rows_blocks_match_direct_sum(monkeypatch):
     assert (out == expected).all()
 
 
-def _random_cost_volume(width, height, disparities, seed):
-    rng = np.random.default_rng(seed)
-    left = rng.integers(0, 256, (height, width), np.uint8)
-    right = rng.integers(0, 256, (height, width), np.uint8)
-    return matching_cost(census_transform(left), census_transform(right), disparities)
-
-
-@pytest.mark.parametrize(
-    "width,height,disparities,paths,seed",
-    [(8, 8, 4, 2, 10), (32, 24, 16, 8, 11), (14, 9, 8, 4, 12)],
-)
-def test_fused_select_matches_unfused(width, height, disparities, paths, seed):
-    mc = _random_cost_volume(width, height, disparities, seed)
-    params = SgmParams(disparities=disparities, p1=7, p2=84, paths=paths)
-    volumes = aggregate_all(mc, params)
-    expected = select_disparity(volumes, params)
-    for last_index, last_direction in enumerate(params.directions):
-        partial = [v for i, v in enumerate(volumes) if i != last_index]
-        fused = fused_last_path_select(mc, partial, last_direction, params)
-        assert (fused == expected).all(), last_direction
-
-
-def test_fused_select_rejects_wrong_partial_count():
-    mc = _random_cost_volume(6, 5, 4, 13)
-    params = SgmParams(disparities=4, p1=7, p2=84, paths=4)
-    volumes = aggregate_all(mc, params)
-    with pytest.raises(ValueError, match="partial"):
-        fused_last_path_select(mc, volumes, (0, 1), params)
+def test_select_rows_searches_one_summed_volume_in_place(monkeypatch):
+    # the pipeline passes its uint16 sum alone; same mid-block row ranges
+    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 2 * 5 * 4)
+    rng = np.random.default_rng(9)
+    total = rng.integers(0, 8 * 255 + 1, (11, 5, 4), np.uint16)
+    before = total.copy()
+    out = np.full((11, 5), -1, np.int32)
+    for y0, y1 in ((0, 1), (1, 5), (5, 5), (5, 11)):
+        select_rows([total], out, y0, y1)
+    assert (out == np.argmin(before, axis=2)).all()
+    assert (total == before).all()

@@ -2,7 +2,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sgmstereo import (
@@ -83,6 +83,64 @@ def test_forked_pool_matches_oracle(monkeypatch, paths):
             assert ex.pool is not None
         disp = ex.run()
     assert (disp == oracle_pipeline(left, right, params)).all()
+
+
+def _pool_expected() -> bool:
+    return fork_available() and (os.cpu_count() or 1) >= 2
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.integers(1, 12),
+    st.sampled_from([1, 3, 8]),
+    st.sampled_from([2, 4, 8]),
+)
+@example(seed=1, width=1, height=9, disparities=4, paths=8)  # one column
+@example(seed=2, width=11, height=1, disparities=4, paths=8)  # one row
+@example(seed=3, width=5, height=3, disparities=1, paths=4)
+@settings(deadline=None, max_examples=20)
+def test_forced_pool_matches_oracle_on_random_pairs(seed, width, height, disparities, paths):
+    # extents of at most 12 rows and columns fall below the 8 row tasks and,
+    # at width 1, the 2 column chunks of a 2-worker pool
+    rng = np.random.default_rng(seed)
+    left = rng.integers(0, 256, (height, width), np.uint8)
+    right = rng.integers(0, 256, (height, width), np.uint8)
+    params = SgmParams(disparities=disparities, p1=3, p2=40, paths=paths)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+        with Executor(left, right, params, threads=2) as ex:
+            assert (ex.pool is not None) == _pool_expected()
+            disp = ex.run()
+    assert (disp == oracle_pipeline(left, right, params)).all()
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled):
+    # a direction that leaves cells of the summed volume untouched would keep
+    # the previous pair's sums there, which a fresh Executor cannot show
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    first = shifted_pair(23, 17, 3, seed=18)
+    second = shifted_pair(23, 17, 6, seed=19)
+    params = SgmParams(disparities=8, p1=5, p2=60, paths=8)
+    expected = compute_disparity(*second, params)
+    with Executor(*first, params, threads=2 if pooled else 1) as ex:
+        assert (ex.pool is not None) == (pooled and _pool_expected())
+        assert not (ex.run() == expected).all()
+        np.copyto(ex.buffers["left"], second[0])
+        np.copyto(ex.buffers["right"], second[1])
+        assert (ex.run() == expected).all()
+
+
+def test_buffers_hold_one_summed_volume_for_every_path_set():
+    left, right = shifted_pair(20, 12, 2, seed=17)
+    buffer_bytes = set()
+    for paths in (2, 4, 8):
+        with Executor(left, right, SgmParams(disparities=8, paths=paths)) as ex:
+            volumes = {name: (b.shape, b.dtype) for name, b in ex.buffers.items() if b.ndim == 3}
+            buffer_bytes.add(sum(b.nbytes for b in ex.buffers.values()))
+        assert volumes == {"mc": ((12, 20, 8), np.uint8), "cost_sum": ((12, 20, 8), np.uint16)}, paths
+    assert len(buffer_bytes) == 1
 
 
 def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch):

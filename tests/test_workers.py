@@ -113,3 +113,49 @@ def test_interrupt_during_run_terminates_busy_workers():
     assert "alive: 0" in result.stdout
     elapsed = float(result.stdout.split("elapsed:")[1])
     assert elapsed < 30
+
+
+def test_workers_exit_when_the_parent_is_killed():
+    result = run_script("""
+        import os
+        import signal
+        import time
+
+        def alive(pid):
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                return False
+            # a worker that exited after its parent died may linger as a
+            # zombie until the init process reaps it
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except OSError:
+                return True
+
+        read_end, write_end = os.pipe()
+        holder = os.fork()
+        if holder == 0:
+            os.close(read_end)
+            pool = ForkPool(2, {})
+            os.write(write_end, " ".join(str(p.pid) for p in pool._procs).encode() + b"\\n")
+            time.sleep(300)
+            os._exit(0)
+        os.close(write_end)
+        with os.fdopen(read_end) as pipe:
+            workers = [int(pid) for pid in pipe.readline().split()]
+        os.kill(holder, signal.SIGKILL)
+        os.waitpid(holder, 0)
+        deadline = time.monotonic() + 10
+        while any(alive(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        survivors = [pid for pid in workers if alive(pid)]
+        for pid in survivors:
+            os.kill(pid, signal.SIGKILL)
+        print("workers:", len(workers))
+        print("alive:", len(survivors))
+    """)
+    assert result.returncode == 0, result.stderr
+    assert "workers: 2" in result.stdout
+    assert "alive: 0" in result.stdout
