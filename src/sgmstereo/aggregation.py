@@ -17,9 +17,9 @@ intermediate exceeds p2 <= 224, and the sum with the cost stays <= 255
 whenever cost <= 255 - p2, which is checked on entry (Hamming costs are
 <= 31).
 
-Lines are mutually independent: slices perpendicular to the direction are
-relaxed together as one vectorised front, and row/column chunks of a volume
-can be processed by independent workers with bit-identical results.
+Lines are mutually independent: the lines of a direction are relaxed
+together as one vectorised front, and any range of them can be processed by
+an independent worker with bit-identical results.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ _BLOCK_BYTES = 1 << 19
 
 
 class _Scratch:
-    """Preallocated per-walk buffers and penalty planes; front_size is the
-    slice extent.
+    """Preallocated per-walk buffers and penalty planes for fronts of up to
+    front_size lines.
 
     Every buffer is a contiguous (front, D) uint8 block, so shifts along the
     disparity axis are 1-d shifts of its flat view.  The penalties are full
@@ -57,17 +57,26 @@ class _Scratch:
         self.p2_minus_p1 = np.full(shape, p2 - p1, dtype=np.uint8)
         self.p2 = p2
 
+    def window(self, size: int) -> "_Scratch":
+        """The same buffers, cut to a front of ``size`` lines."""
+        part = object.__new__(_Scratch)
+        part.__dict__ = {k: v[:size] if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
+        return part
+
 
 def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> np.ndarray:
     """One recurrence step: relax a whole front against its predecessor front.
 
-    ``prev`` is a contiguous (front, D) uint8 block, ``cost`` any (front, D)
-    uint8 view; the result is written to ``out`` (contiguous uint8, which may
-    be ``prev`` itself: ``prev`` is not read once ``out`` is written).  With
-    n = prev - min(prev) the step is cost + min(n[d], nb[d], nb[d-1], nb[d+1])
-    where nb = min(n + p1, p2) = min(n, p2 - p1) + p1; nb[d] supplies the p2
-    cap because min(n, nb) == min(n, p2).  Past n, every value is <= p2.
+    ``prev`` is a contiguous (front, D) uint8 block of at most the scratch's
+    front size, ``cost`` any (front, D) uint8 view; the result is written to
+    ``out`` (contiguous uint8, which may be ``prev`` itself: ``prev`` is not
+    read once ``out`` is written).  With n = prev - min(prev) the step is
+    cost + min(n[d], nb[d], nb[d-1], nb[d+1]) where
+    nb = min(n + p1, p2) = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap
+    because min(n, nb) == min(n, p2).  Past n, every value is <= p2.
     """
+    if len(prev) < len(s.pmin):
+        s = s.window(len(prev))
     n, nb, pair = s.n, s.nb, s.pair
     np.minimum.reduceat(prev.reshape(-1), s.line_starts, out=s.pmin)
     np.subtract(prev, s.pmin[:, None], out=n)
@@ -84,62 +93,65 @@ def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> 
     return out
 
 
-def _walk(mc: np.ndarray, direction: Direction, p1: int, p2: int) -> Iterator[tuple[object, np.ndarray]]:
-    """Walk ``mc`` along ``direction``, yielding relaxed fronts a block at a time.
+def line_count(height: int, width: int, direction: Direction) -> int:
+    """Number of lines a direction has across a height x width image: H for
+    horizontal, W for vertical and W + H - 1 for diagonal."""
+    rx, ry = direction
+    return height if ry == 0 else width + abs(rx) * (height - 1)
 
-    Yields ``(index, block)`` where ``volume[index]`` addresses the fronts the
-    block holds, in the volume's own orientation.  The block buffer is reused
-    by the next yield, so consumers must copy or fold it before advancing.
 
-    Every step reads its cost and writes its result as one contiguous
-    (front, D) buffer.  Horizontal fronts are columns, strided in the
-    volume, so their costs are gathered a block of columns at a time; the
-    volume is then read and written in runs of block x D bytes instead of
-    one D-byte run per line and step.
+def _walk(
+    mc: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int,
+) -> Iterator[tuple[tuple[slice, slice], np.ndarray]]:
+    """Walk the lines [lo, hi) of ``direction``, yielding ``(index, block)``:
+    the relaxed costs of the cells ``mc[index]``, in ``mc``'s orientation.
+    The block buffer is reused by the next yield, so consumers must copy or
+    fold it before advancing.
+
+    Every direction walks down the rows of a (rows, cols, D) view: ``mc``,
+    or for a horizontal direction its transpose.  A diagonal line moves
+    shear = rx * ry columns per row: line k crosses row r at column
+    k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo of
+    the front, so a cell's predecessor is its own slot one row earlier.  The
+    front starts as zeros, and relaxing a zero slot gives the cost itself,
+    so a line needs no start step.  Each row relaxes the window of slots
+    whose lines cross it, which slides by at most one slot per row.
+
+    An unsheared walk relaxes a block of rows (512 KiB) per yield, and a
+    horizontal one gathers its strided costs a block at a time; a sheared
+    window moves every row, so a diagonal yields one row at a time.
     """
     rx, ry = direction
-    height, width, disparities = mc.shape
-    if ry == 0:
-        front, length, forward = height, width, rx > 0
-        index_of = lambda lo, hi: (slice(None), slice(lo, hi))  # noqa: E731
-        orient = lambda a: a.transpose(1, 0, 2)  # noqa: E731  (H, n, D) <-> (n, H, D)
-    else:
-        front, length, forward = width, height, ry > 0
-        index_of = lambda lo, hi: slice(lo, hi)  # noqa: E731
-        orient = lambda a: a  # noqa: E731
-
-    s = _Scratch(front, disparities, p1, p2)
-    block = max(1, min(length, _BLOCK_BYTES // (front * disparities)))
-    fronts = np.empty((block, front, disparities), dtype=np.uint8)
-    costs = np.empty_like(fronts) if ry == 0 else None
-    shift_buf = np.zeros((front, disparities), dtype=np.uint8) if rx != 0 and ry != 0 else None
-    enter = 0 if rx > 0 else width - 1  # diagonal column with no predecessor
-    starts = range(0, length, block)
-    prev: np.ndarray | None = None
-    for lo in starts if forward else reversed(starts):
-        hi = min(lo + block, length)
-        index = index_of(lo, hi)
-        block_cost = orient(mc[index])
+    transposed = ry == 0
+    view = mc.transpose(1, 0, 2) if transposed else mc
+    step, shear = (rx, 0) if transposed else (ry, rx * ry)
+    rows, cols, disparities = view.shape
+    offset = rows - 1 if shear > 0 else 0
+    front = hi - lo
+    s = _Scratch(min(front, cols), disparities, p1, p2)  # the widest window
+    block = 1 if shear else max(1, min(rows, _BLOCK_BYTES // (front * disparities)))
+    fronts = np.zeros((block, front, disparities), dtype=np.uint8)
+    costs = np.empty_like(fronts) if transposed else None
+    prev = fronts[0]
+    starts = range(0, rows, block)
+    for r0 in starts if step > 0 else reversed(starts):
+        r1 = min(r0 + block, rows)
+        c0 = lo + shear * r0 - offset  # column of slot 0 in row r0
+        a, b = max(0, -c0), min(front, cols - c0)
+        if a >= b:
+            continue  # no line of the range crosses this row
+        block_cost = view[r0:r1, c0 + a : c0 + b]
         if costs is not None:
-            np.copyto(costs[: hi - lo], block_cost)
-            block_cost = costs[: hi - lo]
-        for i in range(hi - lo) if forward else range(hi - lo - 1, -1, -1):
-            cost, cur = block_cost[i], fronts[i]
-            if prev is None:
-                np.copyto(cur, cost)
-            elif shift_buf is None:
-                _relax(prev, cost, s, out=cur)
-            else:
-                # diagonal: the predecessor of column x on this front is column
-                # x - rx of the previous front
-                if rx > 0:
-                    shift_buf[1:] = prev[:-1]
-                else:
-                    shift_buf[:-1] = prev[1:]
-                _relax(shift_buf, cost, s, out=cur)
-                cur[enter] = cost[enter]
-            prev = cur
-        yield index, orient(fronts[: hi - lo])
+            np.copyto(costs[: r1 - r0], block_cost)
+            block_cost = costs[: r1 - r0]
+        window = fronts[: r1 - r0, a:b]
+        for i in range(r1 - r0) if step > 0 else range(r1 - r0 - 1, -1, -1):
+            _relax(prev[a:b], block_cost[i], s, out=window[i])
+            prev = fronts[i]
+        if transposed:
+            yield (slice(c0 + a, c0 + b), slice(r0, r1)), window.transpose(1, 0, 2)
+        else:
+            yield (slice(r0, r1), slice(c0 + a, c0 + b)), window
 
 
 def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
@@ -163,28 +175,20 @@ def aggregate_lines(
     """Aggregate the lines [lo, hi) of one direction, writing the smoothed
     costs into ``out`` or, with ``add``, adding them to it.
 
-    Horizontal lines are rows and vertical lines columns; every selected
-    line is a complete path, so chunked and single-call execution agree bit
-    for bit.  A diagonal direction couples columns across a front, so it
-    takes the whole volume: [lo, hi) must span every column.  ``out`` may be
+    Lines are numbered from 0 to ``line_count`` (the default ``hi``): rows
+    for horizontal, columns for vertical, and x - rx * ry * y shifted to
+    start at 0 for a diagonal.  Every selected line is a complete path, so
+    chunked and single-call execution agree bit for bit.  ``out`` may be
     wider than uint8, such as a uint16 sum over directions.
     """
-    rx, ry = direction
-    height, width = mc.shape[:2]
     if hi is None:
-        hi = height if ry == 0 else width
-    if ry == 0:
-        sub_mc, sub_out = mc[lo:hi], out[lo:hi]
-    elif rx == 0 or (lo, hi) == (0, width):
-        sub_mc, sub_out = mc[:, lo:hi], out[:, lo:hi]
-    else:
-        raise ValueError("diagonal directions couple columns across a front and cannot be chunked")
-    for index, block in _walk(sub_mc, direction, p1, p2):
+        hi = line_count(mc.shape[0], mc.shape[1], direction)
+    for index, block in _walk(mc, direction, p1, p2, lo, hi):
         if add:
-            part = sub_out[index]
+            part = out[index]
             np.add(part, block, out=part)
         else:
-            sub_out[index] = block
+            out[index] = block
 
 
 def aggregate_path(mc: np.ndarray, direction: Direction, params: SgmParams) -> np.ndarray:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import aggregate_lines
+from .aggregation import aggregate_lines, line_count
 from .census import census_rows
 from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
@@ -102,6 +102,7 @@ def _select_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 
 def _median_task(bufs: Buffers, y0: int, y1: int) -> None:
+    bufs["disp_out"][y0:y1] = bufs["disp_raw"][y0:y1]  # borders pass through
     median_rows(bufs["disp_raw"], bufs["disp_out"], y0, y1)
 
 
@@ -159,7 +160,6 @@ class Executor:
         self.buffers = bufs
         # fork only after every shared buffer exists so children inherit them
         self.pool = ForkPool(self.workers, bufs) if self._parallel else None
-        self._chunks = self.workers if self._parallel else 1
         self._row_chunks = self.ROW_TASKS_PER_WORKER * self.workers if self._parallel else 1
 
     def close(self) -> None:
@@ -174,14 +174,11 @@ class Executor:
         self.close()
 
     def _aggregation_tasks(self, direction: Direction, add: bool) -> list[Task]:
-        rx, ry = direction
         p1, p2 = self.params.p1, self.params.p2
-        extent = self.height if ry == 0 else self.width
-        # diagonal fronts span whole rows; the direction runs as one task
-        chunks = 1 if rx != 0 and ry != 0 else self._chunks
+        lines = line_count(self.height, self.width, direction)
         return [
             (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, add=add))
-            for lo, hi in split_ranges(extent, chunks)
+            for lo, hi in split_ranges(lines, self.workers)
         ]
 
     def run(self, timings: dict[str, float] | None = None) -> np.ndarray:
@@ -208,11 +205,7 @@ class Executor:
             timed(_direction_name(direction), self._aggregation_tasks(direction, add=i > 0))
         timed("selection", [(_select_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
         if self.median:
-            t0 = time.perf_counter()
-            np.copyto(bufs["disp_out"], bufs["disp_raw"])  # borders pass through
-            run_tasks(self.pool, bufs, [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-            if timings is not None:
-                timings["median"] = timings.get("median", 0.0) + time.perf_counter() - t0
+            timed("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
             return bufs["disp_out"].copy()
         return bufs["disp_raw"].copy()
 

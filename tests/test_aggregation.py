@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from sgmstereo import PATH_SETS, SgmParams, aggregate_all, aggregate_path, matching_cost
 from sgmstereo import aggregation
-from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines
+from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines, line_count
 from sgmstereo.oracle import oracle_sgm
 
 from conftest import hamming_volumes, sgm_params
@@ -89,22 +89,23 @@ def test_aggregate_all_single_pixel_image():
         assert (vol == mc).all()
 
 
-def test_axis_chunks_match_full_run():
+def test_line_chunks_match_full_run():
     rng = np.random.default_rng(8)
     left = rng.integers(0, 256, (11, 14), np.uint8)
     right = rng.integers(0, 256, (11, 14), np.uint8)
     from sgmstereo import census_transform
 
     mc = matching_cost(census_transform(left), census_transform(right), 6)
-    params = SgmParams(disparities=6, p1=5, p2=60, paths=4)
-    for direction in PATH_SETS[4]:
+    params = SgmParams(disparities=6, p1=5, p2=60, paths=8)
+    for direction in ALL_DIRECTIONS:
         whole = aggregate_path(mc, direction, params)
         chunked = np.empty_like(whole)
-        extent = mc.shape[0] if direction[1] == 0 else mc.shape[1]
-        cut = extent // 3
-        for lo, hi in ((0, cut), (cut, extent)):
+        lines = line_count(mc.shape[0], mc.shape[1], direction)
+        # thirds, with a one-line chunk cut from the middle one
+        bounds = (0, lines // 3, lines // 3 + 1, 2 * lines // 3, lines)
+        for lo, hi in zip(bounds, bounds[1:]):
             aggregate_lines(mc, chunked, direction, params.p1, params.p2, lo, hi)
-        assert (chunked == whole).all()
+        assert (chunked == whole).all(), direction
 
 
 def test_rejects_inconsistent_inputs():
@@ -166,15 +167,17 @@ def relax_cases(draw):
     return prev, cost, p1, p2
 
 
-@given(relax_cases(), st.booleans())
-@example((np.array([[255]], np.uint8), np.array([[31]], np.uint8), 1, 224), False)
-@example((np.array([[0, 255]], np.uint8), np.array([[31, 0]], np.uint8), 223, 224), True)
-@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), False)
+@given(relax_cases(), st.booleans(), st.integers(0, 3))
+@example((np.array([[255]], np.uint8), np.array([[31]], np.uint8), 1, 224), False, 0)
+@example((np.array([[0, 255]], np.uint8), np.array([[31, 0]], np.uint8), 223, 224), True, 0)
+@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), False, 1)
 @settings(deadline=None, max_examples=300)
-def test_relax_matches_per_cell_formula(case, in_place):
+def test_relax_matches_per_cell_formula(case, in_place, spare):
+    # a sheared walk relaxes a window of its front: the scratch may hold
+    # ``spare`` more lines than ``prev``
     prev, cost, p1, p2 = case
     expected = relax_reference(prev, cost, p1, p2)
-    s = _Scratch(prev.shape[0], prev.shape[1], p1, p2)
+    s = _Scratch(prev.shape[0] + spare, prev.shape[1], p1, p2)
     prev_copy = prev.copy()
     out = prev_copy if in_place else np.empty_like(prev)
     _relax(prev_copy, cost, s, out)

@@ -99,6 +99,7 @@ def _pool_expected() -> bool:
 @example(seed=1, width=1, height=9, disparities=4, paths=8)  # one column
 @example(seed=2, width=11, height=1, disparities=4, paths=8)  # one row
 @example(seed=3, width=5, height=3, disparities=1, paths=4)
+@example(seed=4, width=2, height=12, disparities=3, paths=8)  # 13 diagonal lines, 2 columns
 @settings(deadline=None, max_examples=20)
 def test_forced_pool_matches_oracle_on_random_pairs(seed, width, height, disparities, paths):
     # extents of at most 12 rows and columns fall below the 8 row tasks and,
@@ -143,11 +144,12 @@ def test_buffers_hold_one_summed_volume_for_every_path_set():
     assert len(buffer_bytes) == 1
 
 
-def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch):
+@pytest.mark.parametrize("paths", [4, 8])
+def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths):
     if not fork_available() or (os.cpu_count() or 1) < 2:
         pytest.skip("needs fork and two CPUs for a pool")
     left, right = shifted_pair(40, 30, 4, seed=16)
-    params = SgmParams(disparities=16, paths=4)
+    params = SgmParams(disparities=16, paths=paths)
     serial = compute_disparity(left, right, params, threads=1)
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     batches = []
@@ -163,9 +165,9 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch):
         disp = ex.run()
     assert (disp == serial).all()
     rows = Executor.ROW_TASKS_PER_WORKER * 2
-    # census (two images), cost, four axis directions (a chunk per worker),
-    # selection, median
-    assert batches == [2 * rows, rows, 2, 2, 2, 2, rows, rows]
+    # census (two images), cost, every direction (a band of lines per
+    # worker), selection, median
+    assert batches == [2 * rows, rows] + [2] * paths + [rows, rows]
 
 
 def test_executor_reuse_is_stable():
