@@ -17,10 +17,9 @@ from .image_io import (
     write_disparity,
     write_pgm,
 )
-from .params import PATH_SETS, SgmParams
+from .params import PATH_SETS, ConfigError, SgmParams
 from .pipeline import (
     BenchReport,
-    ConfigError,
     PipelineConfig,
     PipelineResult,
     compute_disparity,

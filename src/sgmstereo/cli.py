@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .evaluation import metrics_csv
+from .evaluation import DEFAULT_THRESHOLD, metrics_csv
 from .image_io import PgmError
-from .params import SgmParams
+from .params import PATH_SETS, SgmParams
 from .pipeline import ConfigError, PipelineConfig, default_threads, run_pipeline
 
 EXIT_IO = 1
@@ -20,6 +20,7 @@ EXIT_INTERNAL = 3
 
 
 def build_parser() -> argparse.ArgumentParser:
+    defaults = SgmParams()
     parser = argparse.ArgumentParser(
         prog="sgmstereo",
         description="Estimate a disparity map from a rectified stereo pair of binary PGM images.",
@@ -27,16 +28,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--left", required=True, help="left (base) image, binary PGM")
     parser.add_argument("--right", required=True, help="right (match) image, binary PGM")
     parser.add_argument("--output", required=True, help="output disparity map, 8-bit PGM")
-    parser.add_argument("--disparities", type=int, default=128, metavar="D",
-                        help="disparity levels to search (default: 128)")
-    parser.add_argument("--paths", type=int, default=4, choices=(2, 4, 8),
-                        help="path directions for cost smoothing (default: 4)")
-    parser.add_argument("--p1", type=int, default=7, help="penalty for one-level disparity changes")
-    parser.add_argument("--p2", type=int, default=84, help="penalty for larger disparity jumps")
+    parser.add_argument("--disparities", type=int, default=defaults.disparities, metavar="D",
+                        help="disparity levels to search (default: %(default)s)")
+    parser.add_argument("--paths", type=int, default=defaults.paths, choices=sorted(PATH_SETS),
+                        help="path directions for cost smoothing (default: %(default)s)")
+    parser.add_argument("--p1", type=int, default=defaults.p1,
+                        help="penalty for one-level disparity changes (default: %(default)s)")
+    parser.add_argument("--p2", type=int, default=defaults.p2,
+                        help="penalty for larger disparity jumps (default: %(default)s)")
     parser.add_argument("--no-median", action="store_true", help="skip the 3x3 median post-filter")
     parser.add_argument("--gt", default=None, help="ground-truth disparity PGM to evaluate against")
-    parser.add_argument("--threshold", type=int, default=3,
-                        help="bad-pixel threshold in pixels (default: 3)")
+    parser.add_argument("--threshold", type=int, default=DEFAULT_THRESHOLD,
+                        help="bad-pixel threshold in pixels (default: %(default)s)")
     parser.add_argument("--bench", type=int, default=0, metavar="N",
                         help="repeat the compute N times and report per-stage timings")
     parser.add_argument("--threads", type=int, default=None,
@@ -46,22 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    config = PipelineConfig(
-        left=args.left,
-        right=args.right,
-        output=args.output,
-        disparities=args.disparities,
-        paths=args.paths,
-        p1=args.p1,
-        p2=args.p2,
-        median=not args.no_median,
-        gt=args.gt,
-        threshold=args.threshold,
-        bench_iters=args.bench,
-        threads=args.threads if args.threads is not None else default_threads(),
-    )
     try:
-        result = run_pipeline(config)
+        params = SgmParams(disparities=args.disparities, p1=args.p1, p2=args.p2, paths=args.paths)
+        result = run_pipeline(PipelineConfig(
+            left=args.left,
+            right=args.right,
+            output=args.output,
+            params=params,
+            median=not args.no_median,
+            gt=args.gt,
+            threshold=args.threshold,
+            bench_iters=args.bench,
+            threads=args.threads if args.threads is not None else default_threads(),
+        ))
     except ConfigError as exc:
         print(f"sgmstereo: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -77,9 +77,6 @@ def run(argv: list[str] | None = None) -> int:
             print(line, file=sys.stderr)
     if result.evaluation is not None:
         height, width = result.disparity.shape
-        params = SgmParams(
-            disparities=config.disparities, p1=config.p1, p2=config.p2, paths=config.paths
-        )
         print(metrics_csv(result.evaluation, params, width, height))
     return 0
 

@@ -75,9 +75,11 @@ def matching_cost(base: np.ndarray, match: np.ndarray, disparities: int) -> np.n
 def dump_cost_volume(volume: np.ndarray) -> bytes:
     """Serialise a cost cube: width, height, D as little-endian u32, then the
     raw bytes in disparity-fastest order."""
-    volume = np.ascontiguousarray(volume, dtype=np.uint8)
-    if volume.ndim != 3:
-        raise ValueError(f"expected a 3-d cost volume, got shape {volume.shape}")
+    volume = np.asarray(volume)
+    if volume.dtype != np.uint8:
+        raise ValueError(f"cost volume must be uint8, got {volume.dtype}")
+    if volume.ndim != 3 or volume.size == 0:
+        raise ValueError(f"expected a non-empty 3-d cost volume, got shape {volume.shape}")
     height, width, disparities = volume.shape
     return struct.pack("<III", width, height, disparities) + volume.tobytes()
 
@@ -88,6 +90,8 @@ def load_cost_volume(data: bytes) -> np.ndarray:
         raise ValueError("truncated cost volume dump")
     width, height, disparities = struct.unpack_from("<III", data)
     count = width * height * disparities
+    if count == 0:
+        raise ValueError(f"cost volume dump has a zero dimension: {width}x{height}x{disparities}")
     body = data[12 : 12 + count]
     if len(body) < count:
         raise ValueError(f"truncated cost volume dump: expected {count} bytes, found {len(body)}")

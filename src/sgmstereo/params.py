@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 Direction = tuple[int, int]
@@ -30,6 +31,10 @@ MAX_COST = 31
 MAX_P2 = 255 - MAX_COST
 
 
+class ConfigError(ValueError):
+    """Invalid pipeline configuration or inconsistent inputs."""
+
+
 @dataclass(frozen=True)
 class SgmParams:
     """Disparity search range, smoothness penalties and path-direction set.
@@ -46,16 +51,20 @@ class SgmParams:
     paths: int = 4
 
     def __post_init__(self) -> None:
-        if not isinstance(self.disparities, int) or not 1 <= self.disparities <= 256:
-            raise ValueError(f"disparities must be an integer in [1, 256], got {self.disparities!r}")
-        if not isinstance(self.p1, int) or not isinstance(self.p2, int):
-            raise ValueError("p1 and p2 must be integers")
+        for name in ("disparities", "p1", "p2", "paths"):
+            value = getattr(self, name)
+            # numpy integers are stored as ints; bools are not integers here
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, operator.index(value))
+        if not 1 <= self.disparities <= 256:
+            raise ConfigError(f"disparities must be an integer in [1, 256], got {self.disparities}")
         if not 0 < self.p1 < self.p2 <= MAX_P2:
-            raise ValueError(
+            raise ConfigError(
                 f"penalties must satisfy 0 < p1 < p2 <= {MAX_P2}, got p1={self.p1}, p2={self.p2}"
             )
         if self.paths not in PATH_SETS:
-            raise ValueError(f"paths must be one of {sorted(PATH_SETS)}, got {self.paths!r}")
+            raise ConfigError(f"paths must be one of {sorted(PATH_SETS)}, got {self.paths}")
 
     @property
     def directions(self) -> tuple[Direction, ...]:

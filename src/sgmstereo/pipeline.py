@@ -24,12 +24,8 @@ from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
 from .evaluation import DEFAULT_THRESHOLD, EvalResult, bad_pixel_rate
 from .image_io import read_disparity, read_pgm, write_disparity
-from .params import Direction, SgmParams
+from .params import ConfigError, Direction, SgmParams
 from .workers import Buffers, ForkPool, Task, fork_available, run_tasks, shared_empty, split_ranges
-
-
-class ConfigError(ValueError):
-    """Invalid pipeline configuration or inconsistent inputs."""
 
 
 def default_threads() -> int:
@@ -41,10 +37,7 @@ class PipelineConfig:
     left: str | Path
     right: str | Path
     output: str | Path
-    disparities: int = 128
-    paths: int = 4
-    p1: int = 7
-    p2: int = 84
+    params: SgmParams = SgmParams()
     median: bool = True
     gt: str | Path | None = None
     threshold: int = DEFAULT_THRESHOLD
@@ -121,6 +114,8 @@ class Executor:
 
     def __init__(self, left: np.ndarray, right: np.ndarray, params: SgmParams,
                  median: bool = True, threads: int = 1):
+        if threads < 1:
+            raise ConfigError(f"threads must be >= 1, got {threads}")
         left, right = np.asarray(left), np.asarray(right)
         for name, image in (("left", left), ("right", right)):
             if image.ndim != 2:
@@ -136,7 +131,7 @@ class Executor:
         self.height, self.width = left.shape
         cells = self.height * self.width * params.disparities
         # processes beyond the host's logical CPUs are pure overhead
-        self.workers = min(max(1, threads), default_threads())
+        self.workers = min(threads, default_threads())
         self._parallel = self.workers > 1 and fork_available() and cells >= self.MIN_PARALLEL_CELLS
         if not self._parallel:
             self.workers = 1
@@ -220,32 +215,20 @@ def compute_disparity(
     """Library entry point: disparity map for an in-memory image pair.
 
     Raises :class:`ConfigError` (a ``ValueError``) unless both images are
-    non-empty 2-d uint8 arrays of the same shape.
+    non-empty 2-d uint8 arrays of the same shape and ``threads >= 1``.
     """
     with Executor(left, right, params, median=median, threads=threads) as ex:
         return ex.run()
-
-
-def _validated_params(config: PipelineConfig) -> SgmParams:
-    try:
-        return SgmParams(
-            disparities=config.disparities, p1=config.p1, p2=config.p2, paths=config.paths
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
 
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run the configured pipeline: load the pair, compute (optionally many
     times for benchmarking), write the disparity map, evaluate if ground
     truth is given."""
-    params = _validated_params(config)
     if config.bench_iters < 0:
         raise ConfigError(f"bench_iters must be >= 0, got {config.bench_iters}")
     if config.threshold < 0:
         raise ConfigError(f"threshold must be >= 0, got {config.threshold}")
-    if config.threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {config.threads}")
 
     left = read_pgm(config.left)
     right = read_pgm(config.right)
@@ -254,7 +237,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         raise ConfigError(f"dimension mismatch: ground truth {gt.shape} vs images {left.shape}")
 
     bench: BenchReport | None = None
-    with Executor(left, right, params, median=config.median, threads=config.threads) as ex:
+    with Executor(left, right, config.params, median=config.median, threads=config.threads) as ex:
         if config.bench_iters > 0:
             ex.run()  # untimed warm-up: the first frame pays page faults and cold caches
             timings: dict[str, float] = {}

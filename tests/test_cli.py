@@ -135,3 +135,31 @@ def test_no_median_flag(pair_dir, tmp_path):
                    "--disparities", 16, "--no-median", "--threads", 1)
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
+
+
+def test_threads_below_one_exits_2(pair_dir):
+    proc = run_cli(*base_args(pair_dir), "--threads", 0)
+    assert proc.returncode == 2
+    assert "threads" in proc.stderr
+
+
+def test_documented_sweep_runs_on_a_generated_pair(tmp_path):
+    # the README's frame-time sweep: a pair from make_shift_pair.py, then
+    # one --bench run per path set
+    script = Path(__file__).resolve().parent.parent / "scripts" / "make_shift_pair.py"
+    made = subprocess.run(
+        [sys.executable, str(script), "--out", str(tmp_path), "--width", "64", "--height", "48",
+         "--shift", "4"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert made.returncode == 0, made.stderr
+    for paths in (2, 4, 8):
+        proc = run_cli(
+            "--left", tmp_path / "left.pgm", "--right", tmp_path / "right.pgm",
+            "--output", tmp_path / "disp.pgm", "--disparities", 16, "--gt", tmp_path / "gt.pgm",
+            "--bench", 1, "--paths", paths, "--threads", 2,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "bench: iterations=1" in proc.stderr
+        fields = proc.stdout.strip().split(",")
+        assert len(fields) == 10 and fields[3] == str(paths), proc.stdout

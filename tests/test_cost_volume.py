@@ -81,6 +81,25 @@ def test_dump_rejects_truncation():
         load_cost_volume(blob[:-1])
 
 
+@pytest.mark.parametrize(
+    ("volume", "dtype"),
+    [(np.full((2, 2, 2), 300, np.uint16), "uint16"), (np.full((2, 2, 2), 3.7), "float64")],
+    ids=["uint16", "float"],
+)
+def test_dump_rejects_non_byte_volumes(volume, dtype):
+    # a cast would store 300 as 44 and 3.7 as 3
+    with pytest.raises(ValueError, match=dtype):
+        dump_cost_volume(volume)
+
+
+def test_zero_dimension_volumes_are_rejected():
+    # width 0, height 5, D 3 used to load as a (5, 0, 3) array
+    with pytest.raises(ValueError, match="zero dimension"):
+        load_cost_volume(struct.pack("<III", 0, 5, 3))
+    with pytest.raises(ValueError, match="non-empty"):
+        dump_cost_volume(np.zeros((5, 0, 3), np.uint8))
+
+
 def test_row_chunks_match_single_call():
     rng = np.random.default_rng(4)
     base = rng.integers(0, 2**31, (9, 7), np.uint32)

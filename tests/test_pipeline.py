@@ -199,7 +199,7 @@ def _write_pair(tmp_path, width=36, height=26, shift=4, disparities=16):
 
 def test_run_pipeline_writes_output(tmp_path):
     lp, rp, op = _write_pair(tmp_path)
-    config = PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=1)
+    config = PipelineConfig(left=lp, right=rp, output=op, params=SgmParams(disparities=16), threads=1)
     result = run_pipeline(config)
     assert op.exists()
     assert result.evaluation is None and result.bench is None
@@ -213,7 +213,9 @@ def test_run_pipeline_evaluates_against_gt(tmp_path):
     gt = np.full((26, 36), 4, np.int32)
     gp = tmp_path / "gt.pgm"
     write_disparity(gp, gt)
-    config = PipelineConfig(left=lp, right=rp, output=op, disparities=16, gt=gp, threads=1)
+    config = PipelineConfig(
+        left=lp, right=rp, output=op, params=SgmParams(disparities=16), gt=gp, threads=1
+    )
     result = run_pipeline(config)
     assert result.evaluation is not None
     assert result.evaluation.total == 26 * 36
@@ -222,9 +224,10 @@ def test_run_pipeline_evaluates_against_gt(tmp_path):
 
 def test_benchmark_does_not_change_output(tmp_path):
     lp, rp, op = _write_pair(tmp_path)
-    plain = run_pipeline(PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=1))
+    params = SgmParams(disparities=16)
+    plain = run_pipeline(PipelineConfig(left=lp, right=rp, output=op, params=params, threads=1))
     benched = run_pipeline(
-        PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=1, bench_iters=2)
+        PipelineConfig(left=lp, right=rp, output=op, params=params, threads=1, bench_iters=2)
     )
     assert benched.bench is not None
     assert benched.bench.iterations == 2
@@ -242,7 +245,9 @@ def test_dimension_mismatch_is_config_error(tmp_path):
     lp, rp = tmp_path / "l.pgm", tmp_path / "r.pgm"
     write_pgm(lp, left)
     write_pgm(rp, right)
-    config = PipelineConfig(left=lp, right=rp, output=tmp_path / "d.pgm", disparities=8, threads=1)
+    config = PipelineConfig(
+        left=lp, right=rp, output=tmp_path / "d.pgm", params=SgmParams(disparities=8), threads=1
+    )
     with pytest.raises(ConfigError, match="dimension mismatch"):
         run_pipeline(config)
 
@@ -251,7 +256,9 @@ def test_gt_dimension_mismatch_is_config_error(tmp_path):
     lp, rp, op = _write_pair(tmp_path)
     gp = tmp_path / "gt.pgm"
     write_disparity(gp, np.zeros((10, 10), np.int32))
-    config = PipelineConfig(left=lp, right=rp, output=op, disparities=16, gt=gp, threads=1)
+    config = PipelineConfig(
+        left=lp, right=rp, output=op, params=SgmParams(disparities=16), gt=gp, threads=1
+    )
     with pytest.raises(ConfigError, match="dimension mismatch"):
         run_pipeline(config)
 
@@ -259,13 +266,31 @@ def test_gt_dimension_mismatch_is_config_error(tmp_path):
 def test_invalid_params_are_config_errors(tmp_path):
     lp, rp, op = _write_pair(tmp_path)
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(left=lp, right=rp, output=op, paths=3, threads=1))
+        SgmParams(paths=3)
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(left=lp, right=rp, output=op, p1=9, p2=9, threads=1))
+        SgmParams(p1=9, p2=9)
+    params = SgmParams(disparities=16)
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(left=lp, right=rp, output=op, disparities=16, bench_iters=-1, threads=1))
+        run_pipeline(PipelineConfig(left=lp, right=rp, output=op, params=params, bench_iters=-1, threads=1))
     with pytest.raises(ConfigError):
-        run_pipeline(PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=0))
+        run_pipeline(PipelineConfig(left=lp, right=rp, output=op, params=params, threads=0))
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_threads_below_one_are_config_errors(threads):
+    left, right = shifted_pair(20, 12, 2, seed=22)
+    with pytest.raises(ConfigError, match="threads"):
+        compute_disparity(left, right, SgmParams(disparities=4, paths=2), threads=threads)
+
+
+def test_params_store_numpy_integers_as_ints_and_reject_bools():
+    params = SgmParams(disparities=np.int64(64), p1=np.uint8(5), p2=np.int32(60), paths=np.int16(8))
+    assert params == SgmParams(disparities=64, p1=5, p2=60, paths=8)
+    assert all(type(v) is int for v in (params.disparities, params.p1, params.p2, params.paths))
+    for name in ("disparities", "p1", "p2", "paths"):
+        for value in (True, np.True_, 2.0):
+            with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+                SgmParams(**{name: value})
 
 
 @pytest.mark.parametrize(
@@ -291,7 +316,9 @@ def test_bench_times_iterations_after_one_warmup_frame(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Executor, "run", counting_run)
     result = run_pipeline(
-        PipelineConfig(left=lp, right=rp, output=op, disparities=16, threads=1, bench_iters=3)
+        PipelineConfig(
+            left=lp, right=rp, output=op, params=SgmParams(disparities=16), threads=1, bench_iters=3
+        )
     )
     assert timed_calls == [False, True, True, True]
     assert result.bench.iterations == 3
