@@ -57,12 +57,6 @@ class _Scratch:
         self.p2_minus_p1 = np.full(shape, p2 - p1, dtype=np.uint8)
         self.p2 = p2
 
-    def window(self, size: int) -> "_Scratch":
-        """The same buffers, cut to a front of ``size`` lines."""
-        part = object.__new__(_Scratch)
-        part.__dict__ = {k: v[:size] if isinstance(v, np.ndarray) else v for k, v in vars(self).items()}
-        return part
-
 
 def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> np.ndarray:
     """One recurrence step: relax a whole front against its predecessor front.
@@ -75,13 +69,16 @@ def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> 
     nb = min(n + p1, p2) = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap
     because min(n, nb) == min(n, p2).  Past n, every value is <= p2.
     """
-    if len(prev) < len(s.pmin):
-        s = s.window(len(prev))
-    n, nb, pair = s.n, s.nb, s.pair
-    np.minimum.reduceat(prev.reshape(-1), s.line_starts, out=s.pmin)
-    np.subtract(prev, s.pmin[:, None], out=n)
-    np.minimum(n, s.p2_minus_p1, out=nb)
-    np.add(nb, s.p1, out=nb)
+    n, nb, pair, pmin = s.n, s.nb, s.pair, s.pmin
+    starts, p1, cap = s.line_starts, s.p1, s.p2_minus_p1
+    size = len(prev)
+    if size < len(pmin):  # a narrower front: cut the buffers, copying nothing
+        n, nb, pair, pmin = n[:size], nb[:size], pair[:size], pmin[:size]
+        starts, p1, cap = starts[:size], p1[:size], cap[:size]
+    np.minimum.reduceat(prev.reshape(-1), starts, out=pmin)
+    np.subtract(prev, pmin[:, None], out=n)
+    np.minimum(n, cap, out=nb)
+    np.add(nb, p1, out=nb)
     # pair[d] = min(nb[d], nb[d + 1]); the last column would read the next
     # line's d = 0, so it holds p2, which never lowers a result
     flat_nb, flat_pair, flat_n = nb.reshape(-1), pair.reshape(-1), n.reshape(-1)

@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-# size of the disparity-major scratch per row block: larger blocks spread
+# bytes of the uint32 xor scratch per row block: larger blocks spread
 # numpy's per-call cost over more pixels, and 1 MiB keeps the scratch a
 # negligible share of a frame's peak memory
 _BLOCK_BYTES = 1 << 20
@@ -32,31 +32,28 @@ def matching_cost_rows(base: np.ndarray, match: np.ndarray, out: np.ndarray, y0:
     out[y, x, d] = popcount(base[y, x] ^ match[y, x - d]), with x - d clamped
     to column 0.  Rows are independent; any partition gives identical output.
 
-    Each block of rows is computed disparity-major into a small (rows, D, W)
-    scratch, so every disparity is one contiguous xor and one contiguous
-    popcount; one transposed copy then moves the block into the D-fastest
-    layout of ``out``.
+    Each block of rows is one xor of every base pixel against its D match
+    pixels, read through a strided window view of the reversed, padded
+    match rows, into a (rows, W, D) uint32 scratch; one popcount then
+    writes the block straight into ``out``'s D-fastest layout.
     """
     width = base.shape[1]
     disparities = out.shape[2]
-    block = max(1, min(y1 - y0, _BLOCK_BYTES // (disparities * width)))
-    scratch = np.empty((block, disparities, width), dtype=np.uint8)
-    # match rows left-padded with D - 1 copies of column 0: the window
-    # starting at D - 1 - d is match[y, x - d] with the clamp built in
+    block = max(1, min(y1 - y0, _BLOCK_BYTES // (4 * width * disparities)))
+    # match rows reversed, then D - 1 copies of column 0: the window that
+    # starts at W - 1 - x holds match[y, x - d] at d, the clamp built in, so
+    # the innermost loop runs forward over contiguous words
     padded = np.empty((block, width + disparities - 1), dtype=np.uint32)
-    diff = np.empty((block, width), dtype=np.uint32)
+    diff = np.empty((block, width, disparities), dtype=np.uint32)
     for r0 in range(y0, y1, block):
         r1 = min(r0 + block, y1)
         rows = r1 - r0
-        pad, bits, cube = padded[:rows], diff[:rows], scratch[:rows]
-        pad[:, disparities - 1 :] = match[r0:r1]
-        pad[:, : disparities - 1] = match[r0:r1, :1]
-        b = base[r0:r1]
-        for d in range(disparities):
-            start = disparities - 1 - d
-            np.bitwise_xor(b, pad[:, start : start + width], out=bits)
-            np.bitwise_count(bits, out=cube[:, d, :])
-        out[r0:r1] = cube.transpose(0, 2, 1)
+        pad, bits = padded[:rows], diff[:rows]
+        pad[:, :width] = match[r0:r1, ::-1]
+        pad[:, width:] = match[r0:r1, :1]
+        windows = np.lib.stride_tricks.sliding_window_view(pad, disparities, axis=1)
+        np.bitwise_xor(base[r0:r1, :, None], windows[:, ::-1], out=bits)
+        np.bitwise_count(bits, out=out[r0:r1])
 
 
 def matching_cost(base: np.ndarray, match: np.ndarray, disparities: int) -> np.ndarray:

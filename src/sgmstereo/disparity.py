@@ -11,6 +11,14 @@ from .params import SgmParams
 # bytes of the 16-bit accumulator per block of rows in select_rows
 _BLOCK_BYTES = 1 << 19
 
+# Paeth's median-of-9 selection network: each pair (i, j) leaves the smaller
+# value in slot i and the larger in slot j; after all 19, slot 4 holds the
+# median of the nine inputs
+_MEDIAN9 = (
+    (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
+    (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4), (4, 2),
+)
+
 
 def _check_volumes(volumes: Sequence[np.ndarray]) -> tuple[int, int, int]:
     if not volumes:
@@ -69,21 +77,25 @@ def median_rows(src: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
 
     ``out`` must already hold the source values: border pixels pass through
     unfiltered, and this only rewrites interior pixels of the given rows.
+    The nine shifted planes of the 3x3 windows go through Paeth's
+    median-of-9 network, elementwise minima and maxima that are exact for
+    any integer dtype and fastest on the pipeline's byte maps.
     """
     height, width = src.shape
     lo = max(y0, 1)
     hi = min(y1, height - 1)
     if lo >= hi or width < 3:
         return
-    rows = hi - lo
-    stack = np.empty((9, rows, width - 2), dtype=src.dtype)
-    k = 0
-    for dy in (-1, 0, 1):
-        for dx in (0, 1, 2):
-            stack[k] = src[lo + dy : hi + dy, dx : width - 2 + dx]
-            k += 1
-    stack.sort(axis=0)
-    out[lo:hi, 1:-1] = stack[4]  # exact integer median of 9
+    planes = np.empty((10, hi - lo, width - 2), dtype=src.dtype)
+    for k in range(9):
+        dy, dx = divmod(k, 3)
+        planes[k] = src[lo - 1 + dy : hi - 1 + dy, dx : width - 2 + dx]
+    p, spare = list(planes[:9]), planes[9]
+    for i, j in _MEDIAN9:
+        np.minimum(p[i], p[j], out=spare)
+        np.maximum(p[i], p[j], out=p[j])
+        p[i], spare = spare, p[i]
+    out[lo:hi, 1:-1] = p[4]
 
 
 def median_filter_3x3(disparity: np.ndarray) -> np.ndarray:

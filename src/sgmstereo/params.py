@@ -35,6 +35,14 @@ class ConfigError(ValueError):
     """Invalid pipeline configuration or inconsistent inputs."""
 
 
+def as_int(name: str, value: object) -> int:
+    """``value`` as an ``int``: Python and numpy integers pass, bools and
+    everything else raise ConfigError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class SgmParams:
     """Disparity search range, smoothness penalties and path-direction set.
@@ -52,11 +60,7 @@ class SgmParams:
 
     def __post_init__(self) -> None:
         for name in ("disparities", "p1", "p2", "paths"):
-            value = getattr(self, name)
-            # numpy integers are stored as ints; bools are not integers here
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, operator.index(value))
+            object.__setattr__(self, name, as_int(name, getattr(self, name)))
         if not 1 <= self.disparities <= 256:
             raise ConfigError(f"disparities must be an integer in [1, 256], got {self.disparities}")
         if not 0 < self.p1 < self.p2 <= MAX_P2:

@@ -24,7 +24,7 @@ from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
 from .evaluation import DEFAULT_THRESHOLD, EvalResult, bad_pixel_rate
 from .image_io import read_disparity, read_pgm, write_disparity
-from .params import ConfigError, Direction, SgmParams
+from .params import ConfigError, Direction, SgmParams, as_int
 from .workers import Buffers, ForkPool, Task, fork_available, run_tasks, shared_empty, split_ranges
 
 
@@ -114,6 +114,7 @@ class Executor:
 
     def __init__(self, left: np.ndarray, right: np.ndarray, params: SgmParams,
                  median: bool = True, threads: int = 1):
+        threads = as_int("threads", threads)
         if threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
         left, right = np.asarray(left), np.asarray(right)
@@ -147,8 +148,9 @@ class Executor:
             # S(p, d): the sum over directions of the smoothed costs, at most
             # 8 * 255, so 16 bits are exact
             "cost_sum": alloc((height, width, disparities), np.uint16),
-            "disp_raw": alloc((height, width), np.int32),
-            "disp_out": alloc((height, width), np.int32),
+            # disparity indices are below D <= 256: bytes, widened on return
+            "disp_raw": alloc((height, width), np.uint8),
+            "disp_out": alloc((height, width), np.uint8),
         }
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
@@ -177,7 +179,8 @@ class Executor:
         ]
 
     def run(self, timings: dict[str, float] | None = None) -> np.ndarray:
-        """One full compute pass; returns a copy of the disparity map."""
+        """One full compute pass; returns the disparity map as a new int32
+        array."""
         bufs = self.buffers
         rows = split_ranges(self.height, self._row_chunks)
 
@@ -201,8 +204,8 @@ class Executor:
         timed("selection", [(_select_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
         if self.median:
             timed("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-            return bufs["disp_out"].copy()
-        return bufs["disp_raw"].copy()
+            return bufs["disp_out"].astype(np.int32)
+        return bufs["disp_raw"].astype(np.int32)
 
 
 def compute_disparity(
@@ -215,7 +218,8 @@ def compute_disparity(
     """Library entry point: disparity map for an in-memory image pair.
 
     Raises :class:`ConfigError` (a ``ValueError``) unless both images are
-    non-empty 2-d uint8 arrays of the same shape and ``threads >= 1``.
+    non-empty 2-d uint8 arrays of the same shape and ``threads`` is an
+    integer >= 1.
     """
     with Executor(left, right, params, median=median, threads=threads) as ex:
         return ex.run()

@@ -124,13 +124,15 @@ def test_rejects_bad_inputs():
 
 
 def test_row_ranges_straddling_blocks_match_oracle(monkeypatch):
-    # blocks of 3 rows; D > W, so most match reads clamp to column 0
-    height, width, disparities = 11, 5, 9
-    monkeypatch.setattr(cost_volume, "_BLOCK_BYTES", 3 * disparities * width)
+    # blocks of 3 rows of the uint32 scratch; D > W, so most match reads
+    # clamp to column 0.  D = 1 and D = 256 are the smallest and largest cubes
+    height, width = 11, 5
     rng = np.random.default_rng(4)
     base = rng.integers(0, 2**31, (height, width), np.uint32)
     match = rng.integers(0, 2**31, (height, width), np.uint32)
-    out = np.zeros((height, width, disparities), np.uint8)
-    for y0, y1 in ((0, 4), (4, 11)):
-        matching_cost_rows(base, match, out, y0, y1)
-    assert (out == oracle_matching_cost(base, match, disparities)).all()
+    for disparities in (1, 9, 256):
+        monkeypatch.setattr(cost_volume, "_BLOCK_BYTES", 3 * 4 * disparities * width)
+        out = np.zeros((height, width, disparities), np.uint8)
+        for y0, y1 in ((0, 4), (4, 11)):
+            matching_cost_rows(base, match, out, y0, y1)
+        assert (out == oracle_matching_cost(base, match, disparities)).all()

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sgmstereo import median_filter_3x3, select_disparity
 from sgmstereo import disparity
 from sgmstereo.disparity import median_rows, select_rows
+from sgmstereo.oracle import oracle_median_filter
 
 from conftest import hamming_volumes
 
@@ -104,6 +106,42 @@ def test_median_row_chunks_match_single_call():
     for y0, y1 in ((0, 2), (2, 7), (7, 10)):
         median_rows(m, chunked, y0, y1)
     assert (chunked == whole).all()
+
+
+_SIDES = st.one_of(st.integers(1, 3), st.integers(4, 12))
+
+
+@st.composite
+def disparity_maps(draw):
+    """uint8 or int32 maps, often only 1-3 rows or columns wide, with values
+    from two levels (many ties) up to the dtype's extremes: negative and
+    above 255 for int32."""
+    dtype = draw(st.sampled_from([np.uint8, np.int32]))
+    info = np.iinfo(dtype)
+    low = draw(st.integers(int(info.min), int(info.max)))
+    high = min(int(info.max), low + draw(st.sampled_from([1, 2, 300, 2**32])))
+    shape = (draw(_SIDES), draw(_SIDES))
+    return draw(hnp.arrays(dtype, shape, elements=st.integers(low, high)))
+
+
+@given(disparity_maps())
+@settings(max_examples=200)
+def test_median_network_matches_oracle(m):
+    out = median_filter_3x3(m)
+    assert out.dtype == m.dtype
+    assert (out == oracle_median_filter(m)).all()
+
+
+@given(disparity_maps(), st.data())
+def test_median_rows_rewrites_only_its_rows(m, data):
+    height = m.shape[0]
+    y0 = data.draw(st.integers(0, height))
+    y1 = data.draw(st.integers(y0, height))
+    out = m.copy()
+    median_rows(m, out, y0, y1)
+    expected = m.copy()
+    expected[y0:y1] = oracle_median_filter(m)[y0:y1]
+    assert (out == expected).all()
 
 
 def test_select_rows_blocks_match_direct_sum(monkeypatch):

@@ -283,6 +283,45 @@ def test_threads_below_one_are_config_errors(threads):
         compute_disparity(left, right, SgmParams(disparities=4, paths=2), threads=threads)
 
 
+@pytest.mark.parametrize("threads", [1.5, "2", True], ids=["float", "str", "bool"])
+def test_threads_that_are_not_integers_are_config_errors(monkeypatch, threads):
+    # with the pool engaged, 1.5 used to fail inside ForkPool and "2" with a
+    # bare TypeError; True would run as one thread
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = shifted_pair(20, 12, 2, seed=22)
+    with pytest.raises(ConfigError, match="threads"):
+        compute_disparity(left, right, SgmParams(disparities=4, paths=2), threads=threads)
+
+
+def test_threads_take_numpy_integers(monkeypatch):
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = shifted_pair(20, 12, 2, seed=22)
+    params = SgmParams(disparities=4, paths=2)
+    with Executor(left, right, params, threads=np.int64(2)) as ex:
+        assert type(ex.workers) is int
+        assert (ex.pool is not None) == _pool_expected()
+        assert (ex.run() == compute_disparity(left, right, params, threads=1)).all()
+
+
+@pytest.mark.parametrize("median", [True, False], ids=["median", "raw"])
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+def test_largest_disparity_survives_the_byte_maps(monkeypatch, threads, median):
+    # the pipeline's maps are bytes inside and int32 outside; a true shift of
+    # 255 at D = 256 puts the largest index into the raw and the filtered map
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    rng = np.random.default_rng(23)
+    height, width, shift = 5, 268, 255
+    right = rng.integers(0, 256, (height, width), np.uint8)
+    left = rng.integers(0, 256, (height, width), np.uint8)
+    left[:, shift:] = right[:, : width - shift]
+    params = SgmParams(disparities=256, paths=4)
+    expected = oracle_pipeline(left, right, params, median=median)
+    assert (expected[1:-1, 1:-1] == 255).any()
+    disp = compute_disparity(left, right, params, median=median, threads=threads)
+    assert disp.dtype == np.int32
+    assert (disp == expected).all()
+
+
 def test_params_store_numpy_integers_as_ints_and_reject_bools():
     params = SgmParams(disparities=np.int64(64), p1=np.uint8(5), p2=np.int32(60), paths=np.int16(8))
     assert params == SgmParams(disparities=64, p1=5, p2=60, paths=8)
