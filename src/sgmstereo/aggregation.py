@@ -40,8 +40,9 @@ class _Scratch:
     front_size lines.
 
     Every buffer is a contiguous (front, D) uint8 block, so shifts along the
-    disparity axis are 1-d shifts of its flat view.  The penalties are full
-    planes because numpy is several times slower with a scalar operand.
+    disparity axis are 1-d shifts of its flat view, built here once.  The
+    penalties are full planes because numpy is several times slower with a
+    scalar operand.
     """
 
     def __init__(self, front_size: int, disparities: int, p1: int, p2: int):
@@ -53,6 +54,7 @@ class _Scratch:
         self.n = np.empty(shape, dtype=np.uint8)
         self.nb = np.empty(shape, dtype=np.uint8)
         self.pair = np.empty(shape, dtype=np.uint8)
+        self.flat_n, self.flat_nb, self.flat_pair = (a.reshape(-1) for a in (self.n, self.nb, self.pair))
         self.p1 = np.full(shape, p1, dtype=np.uint8)
         self.p2_minus_p1 = np.full(shape, p2 - p1, dtype=np.uint8)
         self.p2 = p2
@@ -61,27 +63,31 @@ class _Scratch:
 def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> np.ndarray:
     """One recurrence step: relax a whole front against its predecessor front.
 
-    ``prev`` is a contiguous (front, D) uint8 block of at most the scratch's
-    front size, ``cost`` any (front, D) uint8 view; the result is written to
-    ``out`` (contiguous uint8, which may be ``prev`` itself: ``prev`` is not
-    read once ``out`` is written).  With n = prev - min(prev) the step is
-    cost + min(n[d], nb[d], nb[d-1], nb[d+1]) where
+    ``prev``, ``cost`` and ``out`` are (front, D) uint8 views of at most the
+    scratch's front size, each with its disparity axis contiguous; a
+    horizontal walk passes rows of (H, W, D) blocks, strided along the
+    front.  ``out`` may be ``prev`` itself: ``prev`` is copied into the
+    scratch before ``out`` is written.  With n = prev - min(prev) the step
+    is cost + min(n[d], nb[d], nb[d-1], nb[d+1]) where
     nb = min(n + p1, p2) = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap
     because min(n, nb) == min(n, p2).  Past n, every value is <= p2.
     """
     n, nb, pair, pmin = s.n, s.nb, s.pair, s.pmin
+    flat_n, flat_nb, flat_pair = s.flat_n, s.flat_nb, s.flat_pair
     starts, p1, cap = s.line_starts, s.p1, s.p2_minus_p1
     size = len(prev)
     if size < len(pmin):  # a narrower front: cut the buffers, copying nothing
+        cells = size * n.shape[1]
         n, nb, pair, pmin = n[:size], nb[:size], pair[:size], pmin[:size]
+        flat_n, flat_nb, flat_pair = flat_n[:cells], flat_nb[:cells], flat_pair[:cells]
         starts, p1, cap = starts[:size], p1[:size], cap[:size]
-    np.minimum.reduceat(prev.reshape(-1), starts, out=pmin)
-    np.subtract(prev, pmin[:, None], out=n)
+    np.copyto(n, prev)
+    np.minimum.reduceat(flat_n, starts, out=pmin)
+    np.subtract(n, pmin[:, None], out=n)
     np.minimum(n, cap, out=nb)
     np.add(nb, p1, out=nb)
     # pair[d] = min(nb[d], nb[d + 1]); the last column would read the next
     # line's d = 0, so it holds p2, which never lowers a result
-    flat_nb, flat_pair, flat_n = nb.reshape(-1), pair.reshape(-1), n.reshape(-1)
     np.minimum(flat_nb[:-1], flat_nb[1:], out=flat_pair[:-1])
     pair[:, -1] = s.p2
     np.minimum(n, pair, out=n)
@@ -114,9 +120,11 @@ def _walk(
     so a line needs no start step.  Each row relaxes the window of slots
     whose lines cross it, which slides by at most one slot per row.
 
-    An unsheared walk relaxes a block of rows (512 KiB) per yield, and a
-    horizontal one gathers its strided costs a block at a time; a sheared
-    window moves every row, so a diagonal yields one row at a time.
+    An unsheared walk relaxes a block of rows (512 KiB) per yield; a
+    sheared window moves every row, so a diagonal yields one row at a time.
+    The block buffers keep ``mc``'s own (H, W, D) order, so a horizontal
+    walk gathers its costs and yields its results as runs of whole block
+    rows, and each of its steps relaxes strided views of them.
     """
     rx, ry = direction
     transposed = ry == 0
@@ -127,8 +135,14 @@ def _walk(
     front = hi - lo
     s = _Scratch(min(front, cols), disparities, p1, p2)  # the widest window
     block = 1 if shear else max(1, min(rows, _BLOCK_BYTES // (front * disparities)))
-    fronts = np.zeros((block, front, disparities), dtype=np.uint8)
-    costs = np.empty_like(fronts) if transposed else None
+
+    def block_buffer(make) -> np.ndarray:
+        if transposed:
+            return make((front, block, disparities), dtype=np.uint8).transpose(1, 0, 2)
+        return make((block, front, disparities), dtype=np.uint8)
+
+    fronts = block_buffer(np.zeros)
+    costs = block_buffer(np.empty) if transposed else None
     prev = fronts[0]
     starts = range(0, rows, block)
     for r0 in starts if step > 0 else reversed(starts):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .params import SgmParams
 
-# bytes of the 16-bit accumulator per block of rows in select_rows
+# bytes of the 16-bit sum per block of rows in select_rows
 _BLOCK_BYTES = 1 << 19
 
 # Paeth's median-of-9 selection network: each pair (i, j) leaves the smaller
@@ -34,19 +34,30 @@ def _check_volumes(volumes: Sequence[np.ndarray]) -> tuple[int, int, int]:
 
 
 def select_rows(volumes: Sequence[np.ndarray], out: np.ndarray, y0: int, y1: int) -> None:
-    """Winner-takes-all over rows [y0, y1): sum the per-direction costs and
-    keep the lowest disparity attaining the minimum.
+    """Winner-takes-all over rows [y0, y1): sum the volumes and keep the
+    lowest disparity attaining the minimum.
 
-    The sum of up to eight byte volumes peaks at 8 * 255, so a 16-bit
-    accumulator is exact.  The sum is built a block of rows at a time in
-    one small reused accumulator: each volume is read once, the accumulator
-    stays in cache, and the memory a call touches does not grow with its
-    row range.  A single volume, such as the pipeline's summed cost, is
-    searched in place.
+    The sum is built a block of rows at a time in one small reused 16-bit
+    buffer: each volume is read once, the buffer stays in cache, and the
+    memory a call touches does not grow with its row range.  When the
+    dtypes bound the sum so that the key sum << ceil(log2 D) | d fits 16
+    bits, as for one or two byte volumes at D <= 128, one minimum over each
+    pixel's keys gives the lowest-cost disparity, the lower index on ties.
+    Otherwise an argmin searches the sum; up to eight byte volumes peak at
+    8 * 255, so the 16-bit sum is exact, and a single volume, such as the
+    pipeline's uint16 sum, is searched in place.
     """
     width, disparities = volumes[0].shape[1:]
+    shift = (disparities - 1).bit_length()
+    bound = sum(int(np.iinfo(v.dtype).max) for v in volumes)
+    packed = (bound + 1) << shift <= 1 << 16
     block = max(1, min(y1 - y0, _BLOCK_BYTES // (2 * width * disparities)))
-    total = np.empty((block, width, disparities), dtype=np.uint16) if len(volumes) > 1 else None
+    total = np.empty((block, width, disparities), dtype=np.uint16) if packed or len(volumes) > 1 else None
+    if packed:
+        # a full plane of levels: numpy is slower with a broadcast operand
+        levels = np.broadcast_to(np.arange(disparities, dtype=np.uint16), total.shape).copy()
+        pixel_starts = np.arange(0, block * width * disparities, disparities)
+        keys = np.empty(block * width, dtype=np.uint16)
     for r0 in range(y0, y1, block):
         r1 = min(r0 + block, y1)
         if total is None:
@@ -56,7 +67,15 @@ def select_rows(volumes: Sequence[np.ndarray], out: np.ndarray, y0: int, y1: int
             np.copyto(acc, volumes[0][r0:r1])
             for v in volumes[1:]:
                 np.add(acc, v[r0:r1], out=acc)
-        out[r0:r1] = np.argmin(acc, axis=2)
+        if packed:
+            pixels = (r1 - r0) * width
+            np.multiply(acc, 1 << shift, out=acc)  # a shift, faster as a multiply
+            np.bitwise_or(acc, levels[: r1 - r0], out=acc)
+            np.minimum.reduceat(acc.reshape(-1), pixel_starts[:pixels], out=keys[:pixels])
+            np.bitwise_and(keys[:pixels], (1 << shift) - 1, out=keys[:pixels])
+            out[r0:r1] = keys[:pixels].reshape(r1 - r0, width)
+        else:
+            out[r0:r1] = np.argmin(acc, axis=2)
 
 
 def select_disparity(volumes: Sequence[np.ndarray], params: SgmParams | None = None) -> np.ndarray:

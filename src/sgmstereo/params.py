@@ -5,6 +5,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 Direction = tuple[int, int]
 
 # Canonical direction order; the 2-, 4- and 8-direction sets are prefixes.
@@ -29,6 +31,22 @@ PATH_SETS: dict[int, tuple[Direction, ...]] = {
 # and the volumes can stay single-byte.
 MAX_COST = 31
 MAX_P2 = 255 - MAX_COST
+
+
+def sum_volumes(directions: tuple[Direction, ...], p2: int) -> tuple[type, tuple[tuple[Direction, ...], ...]]:
+    """How the pipeline sums its smoothed directions: the dtype of the sum
+    volumes and the directions each of them sums, in order.
+
+    A smoothed cost is at most MAX_COST + p2, so one byte holds the sum of
+    k = 255 // (MAX_COST + p2) directions exactly.  When ceil(paths / k) <= 2
+    byte volumes suffice, they take no more memory than one uint16 volume,
+    which otherwise sums every direction (at most 8 * 255).
+    """
+    per_byte = 255 // (MAX_COST + p2)
+    groups = tuple(directions[i : i + per_byte] for i in range(0, len(directions), per_byte))
+    if len(groups) <= 2:
+        return np.uint8, groups
+    return np.uint16, (directions,)
 
 
 class ConfigError(ValueError):

@@ -1,7 +1,7 @@
 """End-to-end pipeline orchestration: census features, matching cost,
-path smoothing summed into one cost volume, winner-takes-all selection and
-median filtering, with optional evaluation against ground truth and
-compute-only benchmarking.
+path smoothing summed into one or two cost volumes, winner-takes-all
+selection and median filtering, with optional evaluation against ground
+truth and compute-only benchmarking.
 
 File I/O happens strictly outside the timed compute region.  Output maps are
 bit-identical across worker counts: every stage is partitioned into tasks
@@ -24,7 +24,7 @@ from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
 from .evaluation import DEFAULT_THRESHOLD, EvalResult, bad_pixel_rate
 from .image_io import read_disparity, read_pgm, write_disparity
-from .params import ConfigError, Direction, SgmParams, as_int
+from .params import ConfigError, Direction, SgmParams, as_int, sum_volumes
 from .workers import Buffers, ForkPool, Task, fork_available, run_tasks, shared_empty, split_ranges
 
 
@@ -86,12 +86,13 @@ def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
     matching_cost_rows(bufs["census_left"], bufs["census_right"], bufs["mc"], y0, y1)
 
 
-def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int, add: bool) -> None:
-    aggregate_lines(bufs["mc"], bufs["cost_sum"], direction, p1, p2, lo, hi, add)
+def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int,
+                    dst: str, add: bool) -> None:
+    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add)
 
 
-def _select_task(bufs: Buffers, y0: int, y1: int) -> None:
-    select_rows([bufs["cost_sum"]], bufs["disp_raw"], y0, y1)
+def _select_task(bufs: Buffers, sums: tuple[str, ...], y0: int, y1: int) -> None:
+    select_rows([bufs[name] for name in sums], bufs["disp_raw"], y0, y1)
 
 
 def _median_task(bufs: Buffers, y0: int, y1: int) -> None:
@@ -145,13 +146,17 @@ class Executor:
             "census_left": alloc((height, width), np.uint32),
             "census_right": alloc((height, width), np.uint32),
             "mc": alloc((height, width, disparities), np.uint8),
-            # S(p, d): the sum over directions of the smoothed costs, at most
-            # 8 * 255, so 16 bits are exact
-            "cost_sum": alloc((height, width, disparities), np.uint16),
             # disparity indices are below D <= 256: bytes, widened on return
             "disp_raw": alloc((height, width), np.uint8),
             "disp_out": alloc((height, width), np.uint8),
         }
+        # S(p, d), the sum over directions of the smoothed costs: in one or
+        # two byte volumes where bytes hold it exactly, else in one uint16
+        # volume (at most 8 * 255); see params.sum_volumes
+        dtype, groups = sum_volumes(params.directions, params.p2)
+        self._sums = {f"cost_sum{i}": group for i, group in enumerate(groups)}
+        for name in self._sums:
+            bufs[name] = alloc((height, width, disparities), dtype)
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
         self.buffers = bufs
@@ -170,11 +175,11 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _aggregation_tasks(self, direction: Direction, add: bool) -> list[Task]:
+    def _aggregation_tasks(self, direction: Direction, dst: str, add: bool) -> list[Task]:
         p1, p2 = self.params.p1, self.params.p2
         lines = line_count(self.height, self.width, direction)
         return [
-            (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, add=add))
+            (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, dst=dst, add=add))
             for lo, hi in split_ranges(lines, self.workers)
         ]
 
@@ -197,11 +202,13 @@ class Executor:
         ]
         timed("census", census_tasks)
         timed("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-        # the first direction overwrites every cell of the sum, the others add
-        # to it; the tasks of one direction touch disjoint cells
-        for i, direction in enumerate(self.params.directions):
-            timed(_direction_name(direction), self._aggregation_tasks(direction, add=i > 0))
-        timed("selection", [(_select_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
+        # the first direction of each sum volume overwrites every cell of it,
+        # the others add to it; the tasks of one direction touch disjoint cells
+        for dst, group in self._sums.items():
+            for i, direction in enumerate(group):
+                timed(_direction_name(direction), self._aggregation_tasks(direction, dst, add=i > 0))
+        sums = tuple(self._sums)
+        timed("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows])
         if self.median:
             timed("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
             return bufs["disp_out"].astype(np.int32)

@@ -167,20 +167,32 @@ def relax_cases(draw):
     return prev, cost, p1, p2
 
 
-@given(relax_cases(), st.booleans(), st.integers(0, 3))
-@example((np.array([[255]], np.uint8), np.array([[31]], np.uint8), 1, 224), False, 0)
-@example((np.array([[0, 255]], np.uint8), np.array([[31, 0]], np.uint8), 223, 224), True, 0)
-@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), False, 1)
+def _placed(a: np.ndarray, strided: bool) -> np.ndarray:
+    """A copy of the (front, D) block ``a``; when ``strided``, one column of
+    a (front, 3, D) block, as a horizontal walk passes its steps."""
+    if not strided:
+        return a.copy()
+    block = np.zeros((a.shape[0], 3, a.shape[1]), np.uint8)
+    block[:, 1] = a
+    return block[:, 1]
+
+
+@given(relax_cases(), st.booleans(), st.integers(0, 3), st.booleans())
+@example((np.array([[255]], np.uint8), np.array([[31]], np.uint8), 1, 224), False, 0, False)
+@example((np.array([[0, 255]], np.uint8), np.array([[31, 0]], np.uint8), 223, 224), True, 0, False)
+@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), False, 1, False)
+@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), True, 1, True)
 @settings(deadline=None, max_examples=300)
-def test_relax_matches_per_cell_formula(case, in_place, spare):
+def test_relax_matches_per_cell_formula(case, in_place, spare, strided):
     # a sheared walk relaxes a window of its front: the scratch may hold
-    # ``spare`` more lines than ``prev``
+    # ``spare`` more lines than ``prev``; a horizontal walk passes strided
+    # views of its (H, W, D) blocks
     prev, cost, p1, p2 = case
     expected = relax_reference(prev, cost, p1, p2)
     s = _Scratch(prev.shape[0] + spare, prev.shape[1], p1, p2)
-    prev_copy = prev.copy()
-    out = prev_copy if in_place else np.empty_like(prev)
-    _relax(prev_copy, cost, s, out)
+    prev_copy = _placed(prev, strided)
+    out = prev_copy if in_place else _placed(np.zeros_like(prev), strided)
+    _relax(prev_copy, _placed(cost, strided), s, out)
     assert (out == expected).all()
 
 

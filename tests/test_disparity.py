@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -167,3 +167,47 @@ def test_select_rows_searches_one_summed_volume_in_place(monkeypatch):
         select_rows([total], out, y0, y1)
     assert (out == np.argmin(before, axis=2)).all()
     assert (total == before).all()
+
+
+@st.composite
+def selection_cases(draw):
+    """One or two byte volumes or one uint16 volume, with the extremes and
+    many ties, and a row range that may start and end inside a block."""
+    count, dtype, top = draw(st.sampled_from([(1, np.uint8, 255), (2, np.uint8, 255), (1, np.uint16, 65535)]))
+    disparities = draw(st.sampled_from([1, 2, 128, 129, 255, 256]) | st.integers(1, 256))
+    height, width = draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    values = st.sampled_from([0, top]) | st.integers(0, 3) | st.integers(0, top)
+    shape = (height, width, disparities)
+    volumes = [draw(hnp.arrays(dtype, shape, elements=values)) for _ in range(count)]
+    block_rows = draw(st.integers(1, 3))
+    y0 = draw(st.integers(0, height))
+    y1 = draw(st.integers(y0, height))
+    return volumes, block_rows, y0, y1
+
+
+def _extremes(dtype, count: int, disparities: int, hot: int):
+    """Every cell at the dtype's top except the lowest disparity and ``hot``,
+    which hold 0 in the first volume: a tie the lowest index must win."""
+    top = np.iinfo(dtype).max
+    volumes = [np.full((2, 2, disparities), top, dtype) for _ in range(count)]
+    volumes[0][..., 0] = 0
+    volumes[0][..., hot] = 0
+    return volumes
+
+
+@given(selection_cases())
+@example((_extremes(np.uint8, 2, 129, 128), 1, 0, 2))  # two bytes, D > 128
+@example((_extremes(np.uint8, 2, 128, 127), 1, 0, 2))
+@example((_extremes(np.uint8, 1, 256, 255), 1, 0, 2))
+@example((_extremes(np.uint16, 1, 256, 255), 1, 0, 2))
+@settings(deadline=None, max_examples=200)
+def test_select_rows_matches_argmin_of_the_sum(case):
+    volumes, block_rows, y0, y1 = case
+    width, disparities = volumes[0].shape[1:]
+    expected = np.argmin(sum(v.astype(np.int64) for v in volumes), axis=2)
+    out = np.full(volumes[0].shape[:2], -1, np.int32)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(disparity, "_BLOCK_BYTES", block_rows * 2 * width * disparities)
+        select_rows(volumes, out, y0, y1)
+    assert (out[y0:y1] == expected[y0:y1]).all()
+    assert (out[:y0] == -1).all() and (out[y1:] == -1).all()

@@ -133,15 +133,58 @@ def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled):
         assert (ex.run() == expected).all()
 
 
-def test_buffers_hold_one_summed_volume_for_every_path_set():
+def _byte_volumes(paths: int, p2: int) -> int:
+    """Byte volumes that hold the sum over ``paths`` directions exactly, or 0
+    when more than two would be needed: a smoothed cost is at most 31 + p2."""
+    per_byte = 255 // (31 + p2)
+    volumes = -(-paths // per_byte)
+    return volumes if volumes <= 2 else 0
+
+
+def test_sum_buffers_are_bytes_exactly_when_bytes_hold_the_sum():
     left, right = shifted_pair(20, 12, 2, seed=17)
-    buffer_bytes = set()
+    uint16_volume = 12 * 20 * 8 * 2
     for paths in (2, 4, 8):
-        with Executor(left, right, SgmParams(disparities=8, paths=paths)) as ex:
-            volumes = {name: (b.shape, b.dtype) for name, b in ex.buffers.items() if b.ndim == 3}
-            buffer_bytes.add(sum(b.nbytes for b in ex.buffers.values()))
-        assert volumes == {"mc": ((12, 20, 8), np.uint8), "cost_sum": ((12, 20, 8), np.uint16)}, paths
-    assert len(buffer_bytes) == 1
+        for p2 in (32, 33, 84, 96, 97, 224):
+            with Executor(left, right, SgmParams(disparities=8, p1=5, p2=p2, paths=paths)) as ex:
+                volumes = {name: (b.shape, b.dtype) for name, b in ex.buffers.items() if b.ndim == 3}
+                sums = [b for name, b in ex.buffers.items() if b.ndim == 3 and name != "mc"]
+            assert volumes.pop("mc") == ((12, 20, 8), np.uint8)
+            count = _byte_volumes(paths, p2)
+            dtypes = [np.uint8] * count if count else [np.uint16]
+            assert list(volumes.values()) == [((12, 20, 8), dtype) for dtype in dtypes], (paths, p2)
+            assert sum(b.nbytes for b in sums) <= uint16_volume, (paths, p2)
+
+
+def _striped_pair(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A ramp, whose census word is the same at every interior pixel, and a
+    right image that inverts it (255 - left) in every other 12-column
+    stripe: matching costs are 0 or the full 31, constant down each column,
+    so the smoothed costs climb to their bound 31 + p2."""
+    y, x = np.mgrid[:height, :width]
+    left = (3 * x + 7 * y).astype(np.uint8)
+    right = np.where((x // 12) % 2 == 1, 255 - left, left).astype(np.uint8)
+    return left, right
+
+
+@pytest.mark.parametrize("disparities", [1, 129, 256])
+@pytest.mark.parametrize("paths", [2, 4])
+@pytest.mark.parametrize("p2", [96, 97])
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, disparities):
+    # p2 = 96 puts two directions in a byte (2 * 127 = 254) and p2 = 97 one
+    # (128); the peak of the sum volumes must reach that bound
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = _striped_pair(12, 40)
+    params = SgmParams(disparities=disparities, p1=7, p2=p2, paths=paths)
+    count = _byte_volumes(paths, p2)
+    per_volume = min(paths, 255 // (31 + p2)) if count else paths
+    with Executor(left, right, params, threads=threads) as ex:
+        assert (ex.pool is not None) == (threads == 2 and _pool_expected())
+        disp = ex.run()
+        peak = max(int(b.max()) for name, b in ex.buffers.items() if b.ndim == 3 and name != "mc")
+    assert peak == per_volume * (31 + (p2 if disparities > 1 else 0))
+    assert (disp == oracle_pipeline(left, right, params)).all()
 
 
 @pytest.mark.parametrize("paths", [4, 8])
