@@ -8,14 +8,19 @@ predecessor's best level for p2), minus the predecessor's best cost so the
 values stay bounded.  Each output cell lands in [cost, cost + p2], which is
 why single-byte storage is exact for Hamming costs.
 
-Every step also runs in single bytes, by two exact identities.  With
-n = prev - min(prev) >= 0, the step is cost + min(n[d], n[d-1] + p1,
-n[d+1] + p1, p2); subtracting the minimum first leaves nothing to add back.
-And min(n + p1, p2) == min(n, p2 - p1) + p1, so the neighbour candidates are
-capped before p1 is added.  n fits a byte because prev does, no later
-intermediate exceeds p2 <= 224, and the sum with the cost stays <= 255
+Walks that feed byte sums carry residuals r = L - C in [0, p2] rather than
+smoothed costs: a step reads only the predecessor's residuals and costs, and
+residuals sum more compactly (a byte holds 255 // p2 of them, against
+255 // (31 + p2) smoothed costs).  Walks whose costs are kept whole, as a
+uint16 sum adds them, carry smoothed costs.
+
+Every step also runs in single bytes, by two exact identities.  With the
+predecessor's smoothed cost L = r + C and n = L - min(L) >= 0, the residual
+is min(n[d], n[d-1] + p1, n[d+1] + p1, p2); subtracting the minimum first
+leaves nothing to add back.  And min(n + p1, p2) == min(n, p2 - p1) + p1, so
+the neighbour candidates are capped before p1 is added.  L fits a byte
 whenever cost <= 255 - p2, which is checked on entry (Hamming costs are
-<= 31).
+<= 31), and no later intermediate exceeds p2 <= 224.
 
 Lines are mutually independent: the lines of a direction are relaxed
 together as one vectorised front, and any range of them can be processed by
@@ -60,15 +65,22 @@ class _Scratch:
         self.p2 = p2
 
 
-def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> np.ndarray:
+def _relax(
+    prev: np.ndarray, prev_cost: np.ndarray | None, s: _Scratch, out: np.ndarray,
+    cost: np.ndarray | None = None,
+) -> np.ndarray:
     """One recurrence step: relax a whole front against its predecessor front.
 
-    ``prev``, ``cost`` and ``out`` are (front, D) uint8 views of at most the
-    scratch's front size, each with its disparity axis contiguous; a
-    horizontal walk passes rows of (H, W, D) blocks, strided along the
-    front.  ``out`` may be ``prev`` itself: ``prev`` is copied into the
-    scratch before ``out`` is written.  With n = prev - min(prev) the step
-    is cost + min(n[d], nb[d], nb[d-1], nb[d+1]) where
+    ``prev`` holds the predecessors' residuals and ``prev_cost`` their
+    matching costs, so prev + prev_cost is their smoothed cost L; ``out``
+    receives the new residuals.  A walk of smoothed costs passes L as
+    ``prev``, no ``prev_cost``, and the front's own costs as ``cost``, and
+    ``out`` then receives the smoothed costs r + cost.  All are (front, D)
+    uint8 views of at most the scratch's front size, each with its
+    disparity axis contiguous; a horizontal walk passes rows of (H, W, D)
+    blocks, strided along the front.  ``out`` may be ``prev`` itself: L is
+    formed in the scratch before ``out`` is written.  With n = L - min(L) the
+    residual is min(n[d], nb[d], nb[d-1], nb[d+1]) where
     nb = min(n + p1, p2) = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap
     because min(n, nb) == min(n, p2).  Past n, every value is <= p2.
     """
@@ -81,7 +93,10 @@ def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> 
         n, nb, pair, pmin = n[:size], nb[:size], pair[:size], pmin[:size]
         flat_n, flat_nb, flat_pair = flat_n[:cells], flat_nb[:cells], flat_pair[:cells]
         starts, p1, cap = starts[:size], p1[:size], cap[:size]
-    np.copyto(n, prev)
+    if prev_cost is None:
+        np.copyto(n, prev)
+    else:
+        np.add(prev, prev_cost, out=n)  # exact: bounded by p2 + cost <= 255
     np.minimum.reduceat(flat_n, starts, out=pmin)
     np.subtract(n, pmin[:, None], out=n)
     np.minimum(n, cap, out=nb)
@@ -92,7 +107,10 @@ def _relax(prev: np.ndarray, cost: np.ndarray, s: _Scratch, out: np.ndarray) -> 
     pair[:, -1] = s.p2
     np.minimum(n, pair, out=n)
     np.minimum(flat_n[1:], flat_pair[:-1], out=flat_n[1:])
-    np.add(n, cost, out=out)  # exact: bounded by cost + p2 <= 255
+    if cost is None:
+        np.copyto(out, n)
+    else:
+        np.add(n, cost, out=out)  # exact, as L is
     return out
 
 
@@ -105,26 +123,36 @@ def line_count(height: int, width: int, direction: Direction) -> int:
 
 def _walk(
     mc: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int,
+    smoothed: bool = False, overwrite: bool = False,
 ) -> Iterator[tuple[tuple[slice, slice], np.ndarray]]:
     """Walk the lines [lo, hi) of ``direction``, yielding ``(index, block)``:
-    the relaxed costs of the cells ``mc[index]``, in ``mc``'s orientation.
-    The block buffer is reused by the next yield, so consumers must copy or
-    fold it before advancing.
+    the residuals L - C of the cells ``mc[index]``, or with ``smoothed``
+    their smoothed costs L, in ``mc``'s orientation.  The block buffer is
+    reused by the next yield, so consumers must copy or fold it before
+    advancing.  With ``overwrite``, a consumer may also overwrite the cells
+    ``mc[index]`` before advancing.
 
     Every direction walks down the rows of a (rows, cols, D) view: ``mc``,
     or for a horizontal direction its transpose.  A diagonal line moves
     shear = rx * ry columns per row: line k crosses row r at column
     k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo of
     the front, so a cell's predecessor is its own slot one row earlier.  The
-    front starts as zeros, and relaxing a zero slot gives the cost itself,
-    so a line needs no start step.  Each row relaxes the window of slots
-    whose lines cross it, which slides by at most one slot per row.
+    front starts as zeros, and a line's first cell has residual 0, its
+    smoothed cost being its own cost.  So a residual step relaxes only the
+    slots whose lines crossed the previous row as well, against that row's
+    residuals and costs, and a slot whose line starts in this row keeps its
+    zero; a smoothed step relaxes every slot, a zero slot giving the cost
+    itself.  The window of slots that cross a row slides by at most one
+    slot per row.
 
     An unsheared walk relaxes a block of rows (512 KiB) per yield; a
     sheared window moves every row, so a diagonal yields one row at a time.
     The block buffers keep ``mc``'s own (H, W, D) order, so a horizontal
     walk gathers its costs and yields its results as runs of whole block
-    rows, and each of its steps relaxes strided views of them.
+    rows, and each of its steps relaxes strided views of them.  The first
+    residual step of a block reads the last costs of the block before, so a
+    horizontal walk, which gathers every block into one buffer, and a walk
+    whose consumer overwrites ``mc`` keep a copy of them.
     """
     rx, ry = direction
     transposed = ry == 0
@@ -133,7 +161,8 @@ def _walk(
     rows, cols, disparities = view.shape
     offset = rows - 1 if shear > 0 else 0
     front = hi - lo
-    s = _Scratch(min(front, cols), disparities, p1, p2)  # the widest window
+    widest = min(front, cols)
+    s = _Scratch(widest, disparities, p1, p2)
     block = 1 if shear else max(1, min(rows, _BLOCK_BYTES // (front * disparities)))
 
     def block_buffer(make) -> np.ndarray:
@@ -143,7 +172,9 @@ def _walk(
 
     fronts = block_buffer(np.zeros)
     costs = block_buffer(np.empty) if transposed else None
-    prev = fronts[0]
+    kept = np.empty((widest, disparities), np.uint8) if (overwrite or transposed) and not smoothed else None
+    prev = prev_cost = fronts[0]
+    pa = pb = 0  # the previous row's window: the slots with a predecessor
     starts = range(0, rows, block)
     for r0 in starts if step > 0 else reversed(starts):
         r1 = min(r0 + block, rows)
@@ -157,8 +188,17 @@ def _walk(
             block_cost = costs[: r1 - r0]
         window = fronts[: r1 - r0, a:b]
         for i in range(r1 - r0) if step > 0 else range(r1 - r0 - 1, -1, -1):
-            _relax(prev[a:b], block_cost[i], s, out=window[i])
+            if smoothed:
+                _relax(prev[a:b], None, s, out=window[i], cost=block_cost[i])
+            else:
+                u, v = max(a, pa), min(b, pb)
+                if u < v:
+                    _relax(prev[u:v], prev_cost[u - pa : v - pa], s, out=fronts[i, u:v])
+                prev_cost, pa, pb = block_cost[i], a, b
             prev = fronts[i]
+        if kept is not None:
+            np.copyto(kept[: b - a], prev_cost)
+            prev_cost = kept[: b - a]
         if transposed:
             yield (slice(c0 + a, c0 + b), slice(r0, r1)), window.transpose(1, 0, 2)
         else:
@@ -181,22 +221,31 @@ def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
 
 def aggregate_lines(
     mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int,
-    lo: int = 0, hi: int | None = None, add: bool = False,
+    lo: int = 0, hi: int | None = None, add: bool = False, costs: int = 1,
 ) -> None:
-    """Aggregate the lines [lo, hi) of one direction, writing the smoothed
-    costs into ``out`` or, with ``add``, adding them to it.
+    """Aggregate the lines [lo, hi) of one direction, writing r + costs * C
+    into ``out`` or, with ``add``, adding it: by default the smoothed costs
+    L = r + C, with ``costs=0`` the residuals r = L - C.
 
     Lines are numbered from 0 to ``line_count`` (the default ``hi``): rows
     for horizontal, columns for vertical, and x - rx * ry * y shifted to
     start at 0 for a diagonal.  Every selected line is a complete path, so
     chunked and single-call execution agree bit for bit.  ``out`` may be
-    wider than uint8, such as a uint16 sum over directions.
+    wider than uint8, such as a uint16 sum over directions, and it may be
+    ``mc`` itself, whose walked costs then become r + costs * C.  Above
+    ``costs=1`` that sum is formed in bytes, so it must stay <= 255, and it
+    cannot be added.
     """
+    if add and costs > 1:
+        raise ValueError(f"add takes costs 0 or 1, got {costs}")
     if hi is None:
         hi = line_count(mc.shape[0], mc.shape[1], direction)
-    for index, block in _walk(mc, direction, p1, p2, lo, hi):
-        if add:
+    overwrite = np.may_share_memory(mc, out)
+    for index, block in _walk(mc, direction, p1, p2, lo, hi, smoothed=costs == 1, overwrite=overwrite):
+        if add or costs > 1:
             part = out[index]
+            if costs > 1:
+                np.multiply(mc[index], costs, out=part)
             np.add(part, block, out=part)
         else:
             out[index] = block

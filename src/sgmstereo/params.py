@@ -33,20 +33,34 @@ MAX_COST = 31
 MAX_P2 = 255 - MAX_COST
 
 
-def sum_volumes(directions: tuple[Direction, ...], p2: int) -> tuple[type, tuple[tuple[Direction, ...], ...]]:
+def sum_volumes(
+    directions: tuple[Direction, ...], p2: int,
+) -> tuple[type, tuple[tuple[Direction, ...], ...], bool]:
     """How the pipeline sums its smoothed directions: the dtype of the sum
-    volumes and the directions each of them sums, in order.
+    volumes, the directions each of them sums, in order, and whether the
+    last direction folds into the cost cube instead.
 
     A smoothed cost is at most MAX_COST + p2, so one byte holds the sum of
     k = 255 // (MAX_COST + p2) directions exactly.  When ceil(paths / k) <= 2
     byte volumes suffice, they take no more memory than one uint16 volume,
     which otherwise sums every direction (at most 8 * 255).
+
+    Where that takes two bytes a cell, the fold may take one.  A smoothed
+    cost L is its matching cost C plus a residual r in [0, p2], so the sum
+    is S = paths * C + sum(r).  When one byte holds the residuals of every
+    direction but the last (paths - 1 <= 255 // p2) and the last
+    direction's r + paths * C fits a byte (paths * MAX_COST + p2 <= 255),
+    one byte volume sums those residuals, the last direction overwrites the
+    cost cube with its r + paths * C, and S is the volume plus the cube.
     """
+    paths = len(directions)
     per_byte = 255 // (MAX_COST + p2)
-    groups = tuple(directions[i : i + per_byte] for i in range(0, len(directions), per_byte))
+    groups = tuple(directions[i : i + per_byte] for i in range(0, paths, per_byte))
+    if len(groups) > 1 and paths - 1 <= 255 // p2 and paths * MAX_COST + p2 <= 255:
+        return np.uint8, (directions[:-1],), True
     if len(groups) <= 2:
-        return np.uint8, groups
-    return np.uint16, (directions,)
+        return np.uint8, groups, False
+    return np.uint16, (directions,), False
 
 
 class ConfigError(ValueError):

@@ -48,19 +48,22 @@ class PipelineConfig:
 @dataclass(frozen=True)
 class BenchReport:
     """Per-stage mean milliseconds and end-to-end throughput, measured over
-    the compute region only (no file I/O)."""
+    the compute region only (no file I/O), and the MiB of the Executor's
+    buffers."""
 
     iterations: int
     threads: int
     stage_ms: dict[str, float]
     frame_ms: float
     fps: float
+    buffer_mb: float
 
     def lines(self) -> list[str]:
         out = [f"bench: iterations={self.iterations} threads={self.threads}"]
         for name, ms in self.stage_ms.items():
             out.append(f"stage {name:<18s} mean {ms:8.3f} ms")
-        out.append(f"end-to-end {self.frame_ms:.3f} ms/frame, {self.fps:.2f} fps")
+        out.append(f"end-to-end {self.frame_ms:.3f} ms/frame, {self.fps:.2f} fps, "
+                   f"buffers {self.buffer_mb:.2f} MiB")
         return out
 
 
@@ -87,8 +90,8 @@ def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 
 def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int,
-                    dst: str, add: bool) -> None:
-    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add)
+                    dst: str, add: bool, costs: int) -> None:
+    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add, costs)
 
 
 def _select_task(bufs: Buffers, sums: tuple[str, ...], y0: int, y1: int) -> None:
@@ -102,7 +105,14 @@ def _median_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 class Executor:
     """Holds the buffers and optional worker pool for repeated runs on one
-    image pair; reused across benchmark iterations."""
+    image pair; reused across benchmark iterations.
+
+    ``buffers`` maps names to the frame's arrays.  After ``run()``,
+    ``buffers["mc"]`` holds the matching costs C, except when the last
+    direction folds into it (see ``params.sum_volumes``): then it holds
+    r + paths * C, that direction's residuals plus every path's share of
+    the costs, and the next ``run()`` rebuilds C first.
+    """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
     # speedup; the output is identical either way
@@ -152,8 +162,10 @@ class Executor:
         }
         # S(p, d), the sum over directions of the smoothed costs: in one or
         # two byte volumes where bytes hold it exactly, else in one uint16
-        # volume (at most 8 * 255); see params.sum_volumes
-        dtype, groups = sum_volumes(params.directions, params.p2)
+        # volume (at most 8 * 255); or, where that takes two bytes a cell,
+        # the residuals of all directions but the last in one byte volume
+        # and the last folded into "mc"; see params.sum_volumes
+        dtype, groups, self._fold = sum_volumes(params.directions, params.p2)
         self._sums = {f"cost_sum{i}": group for i, group in enumerate(groups)}
         for name in self._sums:
             bufs[name] = alloc((height, width, disparities), dtype)
@@ -175,11 +187,12 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _aggregation_tasks(self, direction: Direction, dst: str, add: bool) -> list[Task]:
+    def _aggregation_tasks(self, direction: Direction, dst: str, add: bool, costs: int) -> list[Task]:
         p1, p2 = self.params.p1, self.params.p2
         lines = line_count(self.height, self.width, direction)
         return [
-            (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, dst=dst, add=add))
+            (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, dst=dst, add=add,
+                                   costs=costs))
             for lo, hi in split_ranges(lines, self.workers)
         ]
 
@@ -203,11 +216,18 @@ class Executor:
         timed("census", census_tasks)
         timed("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
         # the first direction of each sum volume overwrites every cell of it,
-        # the others add to it; the tasks of one direction touch disjoint cells
+        # the others add to it: residuals when folding, else smoothed costs;
+        # the tasks of one direction touch disjoint cells
+        costs = 0 if self._fold else 1
         for dst, group in self._sums.items():
             for i, direction in enumerate(group):
-                timed(_direction_name(direction), self._aggregation_tasks(direction, dst, add=i > 0))
+                timed(_direction_name(direction), self._aggregation_tasks(direction, dst, i > 0, costs))
         sums = tuple(self._sums)
+        if self._fold:
+            # the last direction turns each walked cost C into r + paths * C
+            last = self.params.directions[-1]
+            timed(_direction_name(last), self._aggregation_tasks(last, "mc", False, self.params.paths))
+            sums += ("mc",)
         timed("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows])
         if self.median:
             timed("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
@@ -263,6 +283,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
                 stage_ms=stage_ms,
                 frame_ms=1000.0 * elapsed / config.bench_iters,
                 fps=config.bench_iters / elapsed,
+                buffer_mb=sum(b.nbytes for b in ex.buffers.values()) / 2**20,
             )
         else:
             disparity = ex.run()

@@ -138,12 +138,13 @@ def test_invalid_params_rejected():
         SgmParams(paths=3)
 
 
-def relax_reference(prev: np.ndarray, cost: np.ndarray, p1: int, p2: int) -> np.ndarray:
-    """The recurrence step written per cell with Python integers."""
-    front, disparities = prev.shape
-    out = np.empty_like(cost)
+def relax_reference(smoothed: np.ndarray, p1: int, p2: int) -> np.ndarray:
+    """The residuals of the recurrence step after predecessors with smoothed
+    costs ``smoothed``, written per cell with Python integers."""
+    front, disparities = smoothed.shape
+    out = np.empty_like(smoothed)
     for i in range(front):
-        line = [int(v) for v in prev[i]]
+        line = [int(v) for v in smoothed[i]]
         pmin = min(line)
         for d in range(disparities):
             best = min(line[d], pmin + p2)
@@ -151,20 +152,23 @@ def relax_reference(prev: np.ndarray, cost: np.ndarray, p1: int, p2: int) -> np.
                 best = min(best, line[d - 1] + p1)
             if d + 1 < disparities:
                 best = min(best, line[d + 1] + p1)
-            out[i, d] = int(cost[i, d]) + best - pmin
+            out[i, d] = best - pmin
     return out
 
 
 @st.composite
 def relax_cases(draw):
+    """Predecessor residuals in [0, p2], and predecessor and own costs in
+    [0, 255 - p2], the ranges the walks keep."""
     p2 = draw(st.sampled_from([2, 84, 224]) | st.integers(2, 224))
     p1 = draw(st.sampled_from([1, p2 - 1]) | st.integers(1, p2 - 1))
     front = draw(st.sampled_from([1, 2]) | st.integers(1, 7))
     disparities = draw(st.sampled_from([1, 2, 3]) | st.integers(1, 9))
     shape = (front, disparities)
-    prev = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 255)))
+    prev = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, p2)))
+    prev_cost = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 255 - p2)))
     cost = draw(hnp.arrays(np.uint8, shape, elements=st.integers(0, 255 - p2)))
-    return prev, cost, p1, p2
+    return prev, prev_cost, cost, p1, p2
 
 
 def _placed(a: np.ndarray, strided: bool) -> np.ndarray:
@@ -177,22 +181,40 @@ def _placed(a: np.ndarray, strided: bool) -> np.ndarray:
     return block[:, 1]
 
 
-@given(relax_cases(), st.booleans(), st.integers(0, 3), st.booleans())
-@example((np.array([[255]], np.uint8), np.array([[31]], np.uint8), 1, 224), False, 0, False)
-@example((np.array([[0, 255]], np.uint8), np.array([[31, 0]], np.uint8), 223, 224), True, 0, False)
-@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), False, 1, False)
-@example((np.array([[9, 0, 7], [255, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2), True, 1, True)
+_FULL = (np.array([[224]], np.uint8), np.array([[31]], np.uint8), np.array([[31]], np.uint8), 1, 224)
+_EDGES = (np.array([[0, 224]], np.uint8), np.array([[31, 0]], np.uint8),
+          np.array([[31, 0]], np.uint8), 223, 224)
+_TWO_LINES = (np.array([[2, 0, 1], [2, 2, 0]], np.uint8),
+              np.array([[7, 0, 253], [253, 3, 0]], np.uint8), np.full((2, 3), 253, np.uint8), 1, 2)
+
+
+@given(relax_cases(), st.booleans(), st.integers(0, 3), st.booleans(), st.booleans())
+@example(_FULL, False, 0, False, False)
+@example(_FULL, False, 0, False, True)
+@example(_EDGES, True, 0, False, False)
+@example(_TWO_LINES, False, 1, False, False)
+@example(_TWO_LINES, True, 1, True, False)
+@example(_TWO_LINES, True, 1, True, True)
 @settings(deadline=None, max_examples=300)
-def test_relax_matches_per_cell_formula(case, in_place, spare, strided):
-    # a sheared walk relaxes a window of its front: the scratch may hold
-    # ``spare`` more lines than ``prev``; a horizontal walk passes strided
-    # views of its (H, W, D) blocks
-    prev, cost, p1, p2 = case
-    expected = relax_reference(prev, cost, p1, p2)
+def test_relax_matches_per_cell_formula(case, in_place, spare, strided, smoothed):
+    # the predecessors' residuals and costs go in and the residuals come out;
+    # a walk of smoothed costs passes the predecessors' smoothed costs and
+    # its own costs, and gets smoothed costs.  A sheared walk relaxes a
+    # window of its front: the scratch may hold ``spare`` more lines than
+    # ``prev``; a horizontal walk passes strided views of its (H, W, D) blocks
+    prev, prev_cost, cost, p1, p2 = case
+    smoothed_prev = prev + prev_cost  # <= p2 + 255 - p2
+    expected = relax_reference(smoothed_prev, p1, p2)
     s = _Scratch(prev.shape[0] + spare, prev.shape[1], p1, p2)
-    prev_copy = _placed(prev, strided)
-    out = prev_copy if in_place else _placed(np.zeros_like(prev), strided)
-    _relax(prev_copy, _placed(cost, strided), s, out)
+    if smoothed:
+        expected += cost
+        prev_copy = _placed(smoothed_prev, strided)
+        out = prev_copy if in_place else _placed(np.zeros_like(prev), strided)
+        _relax(prev_copy, None, s, out, cost=_placed(cost, strided))
+    else:
+        prev_copy = _placed(prev, strided)
+        out = prev_copy if in_place else _placed(np.zeros_like(prev), strided)
+        _relax(prev_copy, _placed(prev_cost, strided), s, out)
     assert (out == expected).all()
 
 
@@ -206,3 +228,55 @@ def test_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
     params = SgmParams(disparities=4, p1=3, p2=40, paths=8)
     for direction in ALL_DIRECTIONS:
         assert (aggregate_path(mc, direction, params) == oracle_sgm(mc, direction, params)).all()
+
+
+def _fold_factor(p2: int) -> int:
+    """The largest k for which r + k * C stays a byte for Hamming costs."""
+    return (255 - p2) // 31
+
+
+@given(hamming_volumes(), st.sampled_from(ALL_DIRECTIONS), st.data())
+@settings(deadline=None, max_examples=80)
+def test_residual_and_folded_walks_match_scalar_oracle(mc, direction, data):
+    # the pipeline sums residuals (costs=0) and folds its last direction
+    # into the cost volume itself (costs=k, out=mc), a range of lines at a time
+    params = data.draw(sgm_params(mc.shape[2]))
+    residuals = oracle_sgm(mc, direction, params) - mc
+    lines = line_count(mc.shape[0], mc.shape[1], direction)
+    cut = data.draw(st.integers(1, lines))
+    chunks = ((0, cut), (cut, lines)) if cut < lines else ((0, lines),)
+    out = np.empty_like(mc)
+    for lo, hi in chunks:
+        aggregate_lines(mc, out, direction, params.p1, params.p2, lo, hi, costs=0)
+    assert (out == residuals).all()
+    k = _fold_factor(params.p2)
+    if k > 1:
+        folded = mc.copy()
+        for lo, hi in chunks:
+            aggregate_lines(folded, folded, direction, params.p1, params.p2, lo, hi, costs=k)
+        assert (folded == residuals + k * mc).all()
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_residual_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
+    # as test_walk_blocks_match_scalar_oracle, for the residual and folded
+    # walks, whose first step of a block reads the last costs of the block
+    # before: from a second gather buffer, or from a kept copy when folding
+    monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(10)
+    mc = rng.integers(0, 32, (5, 7, 4), np.uint8)
+    params = SgmParams(disparities=4, p1=3, p2=40, paths=8)
+    for direction in ALL_DIRECTIONS:
+        residuals = oracle_sgm(mc, direction, params) - mc
+        out = np.empty_like(mc)
+        aggregate_lines(mc, out, direction, params.p1, params.p2, costs=0)
+        assert (out == residuals).all(), direction
+        folded = mc.copy()
+        aggregate_lines(folded, folded, direction, params.p1, params.p2, costs=6)
+        assert (folded == residuals + 6 * mc).all(), direction
+
+
+def test_add_takes_residuals_or_smoothed_costs_only():
+    mc = np.zeros((2, 3, 4), np.uint8)
+    with pytest.raises(ValueError, match="costs"):
+        aggregate_lines(mc, mc.copy(), (1, 0), 1, 10, add=True, costs=2)

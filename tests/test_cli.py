@@ -1,6 +1,7 @@
 """End-to-end CLI contract tests via subprocess: flags, exit codes, streams."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,24 @@ def test_bench_reports_to_stderr_without_changing_output(pair_dir, tmp_path):
     for token in ("census", "matching_cost", "aggregate(+1,+0)", "selection", "median"):
         assert token in benched.stderr, benched.stderr
     assert benched.stdout == ""  # metrics only with --gt
+
+
+def _bench_buffer_mb(stderr: str) -> float:
+    match = re.search(r"fps, buffers ([0-9.]+) MiB", stderr)
+    assert match, stderr
+    return float(match.group(1))
+
+
+def test_bench_reports_fewer_buffer_mib_at_4_paths_than_at_8(pair_dir, tmp_path):
+    # at the default p2 the 4-path Executor holds the cost cube and one byte
+    # volume (the last direction folds into the cube), 8 paths a uint16 sum
+    reported = {}
+    for paths in (4, 8):
+        proc = run_cli(*base_args(pair_dir)[:4], "--output", tmp_path / f"p{paths}.pgm",
+                       "--disparities", 16, "--paths", paths, "--threads", 1, "--bench", 1)
+        assert proc.returncode == 0, proc.stderr
+        reported[paths] = _bench_buffer_mb(proc.stderr)
+    assert 0 < reported[4] < reported[8]
 
 
 def test_thread_counts_produce_identical_files(pair_dir, tmp_path):

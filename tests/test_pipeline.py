@@ -116,14 +116,19 @@ def test_forced_pool_matches_oracle_on_random_pairs(seed, width, height, dispari
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
-@pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
-def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled):
+@pytest.mark.parametrize(
+    ("pooled", "paths", "p2"),
+    [(False, 8, 60), (True, 8, 60), (False, 4, 84), (True, 4, 84)],
+    ids=["serial", "pool", "serial-folded", "pool-folded"],
+)
+def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled, paths, p2):
     # a direction that leaves cells of the summed volume untouched would keep
-    # the previous pair's sums there, which a fresh Executor cannot show
+    # the previous pair's sums there, which a fresh Executor cannot show; at
+    # 4 paths the last direction overwrote "mc", which must be rebuilt
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     first = shifted_pair(23, 17, 3, seed=18)
     second = shifted_pair(23, 17, 6, seed=19)
-    params = SgmParams(disparities=8, p1=5, p2=60, paths=8)
+    params = SgmParams(disparities=8, p1=5, p2=p2, paths=paths)
     expected = compute_disparity(*second, params)
     with Executor(*first, params, threads=2 if pooled else 1) as ex:
         assert (ex.pool is not None) == (pooled and _pool_expected())
@@ -133,57 +138,76 @@ def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled):
         assert (ex.run() == expected).all()
 
 
-def _byte_volumes(paths: int, p2: int) -> int:
-    """Byte volumes that hold the sum over ``paths`` directions exactly, or 0
-    when more than two would be needed: a smoothed cost is at most 31 + p2."""
-    per_byte = 255 // (31 + p2)
-    volumes = -(-paths // per_byte)
+def _smoothed_volumes(paths: int, p2: int) -> int:
+    """Byte volumes that hold the sum over ``paths`` smoothed costs exactly,
+    or 0 when more than two would be needed: a smoothed cost is at most
+    31 + p2."""
+    volumes = -(-paths // (255 // (31 + p2)))
     return volumes if volumes <= 2 else 0
+
+
+def _folds(paths: int, p2: int) -> bool:
+    """Whether the last direction folds into "mc": where the smoothed sums
+    take two bytes a cell, one byte holds the residuals (each at most p2) of
+    all directions but the last, and r + paths * C fits the cube's byte."""
+    return _smoothed_volumes(paths, p2) != 1 and paths - 1 <= 255 // p2 and paths * 31 + p2 <= 255
 
 
 def test_sum_buffers_are_bytes_exactly_when_bytes_hold_the_sum():
     left, right = shifted_pair(20, 12, 2, seed=17)
-    uint16_volume = 12 * 20 * 8 * 2
+    cells = 12 * 20 * 8
     for paths in (2, 4, 8):
-        for p2 in (32, 33, 84, 96, 97, 224):
+        for p2 in (32, 33, 84, 85, 86, 127, 128, 193, 194, 224):
             with Executor(left, right, SgmParams(disparities=8, p1=5, p2=p2, paths=paths)) as ex:
                 volumes = {name: (b.shape, b.dtype) for name, b in ex.buffers.items() if b.ndim == 3}
                 sums = [b for name, b in ex.buffers.items() if b.ndim == 3 and name != "mc"]
             assert volumes.pop("mc") == ((12, 20, 8), np.uint8)
-            count = _byte_volumes(paths, p2)
+            smoothed = _smoothed_volumes(paths, p2)
+            count = 1 if _folds(paths, p2) else smoothed
             dtypes = [np.uint8] * count if count else [np.uint16]
             assert list(volumes.values()) == [((12, 20, 8), dtype) for dtype in dtypes], (paths, p2)
-            assert sum(b.nbytes for b in sums) <= uint16_volume, (paths, p2)
+            # the smoothed sums' bytes a cell, a uint16 volume taking two
+            assert sum(b.nbytes for b in sums) <= cells * (smoothed or 2), (paths, p2)
 
 
 def _striped_pair(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """A ramp, whose census word is the same at every interior pixel, and a
     right image that inverts it (255 - left) in every other 12-column
     stripe: matching costs are 0 or the full 31, constant down each column,
-    so the smoothed costs climb to their bound 31 + p2."""
+    so the residuals and smoothed costs climb to their bounds p2 and
+    31 + p2."""
     y, x = np.mgrid[:height, :width]
     left = (3 * x + 7 * y).astype(np.uint8)
     right = np.where((x // 12) % 2 == 1, 255 - left, left).astype(np.uint8)
     return left, right
 
 
+_BOUND_CASES = [(84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2)]
+
+
 @pytest.mark.parametrize("disparities", [1, 129, 256])
-@pytest.mark.parametrize("paths", [2, 4])
-@pytest.mark.parametrize("p2", [96, 97])
+@pytest.mark.parametrize(("p2", "paths"), _BOUND_CASES, ids=[f"{p2}-{paths}" for p2, paths in _BOUND_CASES])
 @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
 def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, disparities):
-    # p2 = 96 puts two directions in a byte (2 * 127 = 254) and p2 = 97 one
-    # (128); the peak of the sum volumes must reach that bound
+    # folded (4 paths at p2 84 and 85, 2 paths at 97 and 193), the byte
+    # volume must peak at (paths - 1) * p2, 255 at 4 paths and p2 = 85, and
+    # "mc" at paths * 31 + p2, 255 at 2 paths and p2 = 193; otherwise p2 = 96
+    # puts two smoothed costs in a byte (2 * 127 = 254) and p2 = 97 one, so
+    # a uint16 sum at 4 paths; with one disparity every residual is 0
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     left, right = _striped_pair(12, 40)
     params = SgmParams(disparities=disparities, p1=7, p2=p2, paths=paths)
-    count = _byte_volumes(paths, p2)
-    per_volume = min(paths, 255 // (31 + p2)) if count else paths
+    jump = p2 if disparities > 1 else 0
     with Executor(left, right, params, threads=threads) as ex:
         assert (ex.pool is not None) == (threads == 2 and _pool_expected())
         disp = ex.run()
-        peak = max(int(b.max()) for name, b in ex.buffers.items() if b.ndim == 3 and name != "mc")
-    assert peak == per_volume * (31 + (p2 if disparities > 1 else 0))
+        peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.ndim == 3}
+    if _folds(paths, p2):
+        assert peaks == {"mc": paths * 31 + jump, "cost_sum0": (paths - 1) * jump}
+    else:
+        per_volume = min(paths, 255 // (31 + p2)) if _smoothed_volumes(paths, p2) else paths
+        sums = [peak for name, peak in peaks.items() if name != "mc"]
+        assert max(sums) == per_volume * (31 + jump)
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
