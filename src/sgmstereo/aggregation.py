@@ -1,26 +1,28 @@
 """Directional smoothing of the matching-cost volume.
 
 For a direction r = (rx, ry), every maximal straight line across the image in
-that direction is relaxed front to back: a pixel's smoothed cost at disparity
-d is its own matching cost plus the cheapest way to continue from the
-predecessor pixel (stay at d, move one level for p1, or jump from the
+that direction is relaxed front to back: a pixel's smoothed cost L at
+disparity d is its own matching cost C plus the cheapest way to continue from
+the predecessor pixel (stay at d, move one level for p1, or jump from the
 predecessor's best level for p2), minus the predecessor's best cost so the
-values stay bounded.  Each output cell lands in [cost, cost + p2], which is
-why single-byte storage is exact for Hamming costs.
+values stay bounded.  The residual L - C lies in [0, p2], which is why
+single-byte storage is exact for Hamming costs.
 
-Walks that feed byte sums carry residuals r = L - C in [0, p2] rather than
-smoothed costs: a step reads only the predecessor's residuals and costs, and
-residuals sum more compactly (a byte holds 255 // p2 of them, against
-255 // (31 + p2) smoothed costs).  Walks whose costs are kept whole, as a
-uint16 sum adds them, carry smoothed costs.
+A walk's only state is the smoothed costs of each line's last cell, one
+contiguous (lines, D) byte block.  A step relaxes that state in place into
+the residuals of the lines' next cells, emits them, and adds those cells'
+costs in, which is exact because cost <= 255 - p2 is checked on entry
+(Hamming costs are <= 31).  A line that has not started holds zeros, which
+relax to residual 0: a line's first cell has L = C.  Walks that feed byte
+sums emit residuals, which sum more compactly (a byte holds 255 // p2 of
+them, against 255 // (31 + p2) smoothed costs); walks whose sum keeps costs
+whole, as a uint16 sum does, emit L.
 
-Every step also runs in single bytes, by two exact identities.  With the
-predecessor's smoothed cost L = r + C and n = L - min(L) >= 0, the residual
-is min(n[d], n[d-1] + p1, n[d+1] + p1, p2); subtracting the minimum first
-leaves nothing to add back.  And min(n + p1, p2) == min(n, p2 - p1) + p1, so
-the neighbour candidates are capped before p1 is added.  L fits a byte
-whenever cost <= 255 - p2, which is checked on entry (Hamming costs are
-<= 31), and no later intermediate exceeds p2 <= 224.
+The step runs in single bytes by two exact identities.  With
+n = L - min(L) >= 0, the residual is min(n[d], n[d-1] + p1, n[d+1] + p1, p2);
+subtracting the minimum first leaves nothing to add back.  And
+min(n + p1, p2) == min(n, p2 - p1) + p1, so the neighbour candidates are
+capped before p1 is added, and no intermediate exceeds p2 <= 224.
 
 Lines are mutually independent: the lines of a direction are relaxed
 together as one vectorised front, and any range of them can be processed by
@@ -41,11 +43,11 @@ _BLOCK_BYTES = 1 << 19
 
 
 class _Scratch:
-    """Preallocated per-walk buffers and penalty planes for fronts of up to
+    """Preallocated per-walk buffers and penalty planes for windows of up to
     front_size lines.
 
-    Every buffer is a contiguous (front, D) uint8 block, so shifts along the
-    disparity axis are 1-d shifts of its flat view, built here once.  The
+    Every buffer is a contiguous (front, D) uint8 block, as the walk's state
+    is, so shifts along the disparity axis are 1-d shifts of flat views.  The
     penalties are full planes because numpy is several times slower with a
     scalar operand.
     """
@@ -56,62 +58,45 @@ class _Scratch:
         # line starts in the flat view: minimum.reduceat over them is several
         # times faster than min(axis=1), which runs one short reduction per line
         self.line_starts = np.arange(0, front_size * disparities, disparities)
-        self.n = np.empty(shape, dtype=np.uint8)
         self.nb = np.empty(shape, dtype=np.uint8)
         self.pair = np.empty(shape, dtype=np.uint8)
-        self.flat_n, self.flat_nb, self.flat_pair = (a.reshape(-1) for a in (self.n, self.nb, self.pair))
+        self.flat_nb, self.flat_pair = self.nb.reshape(-1), self.pair.reshape(-1)
         self.p1 = np.full(shape, p1, dtype=np.uint8)
         self.p2_minus_p1 = np.full(shape, p2 - p1, dtype=np.uint8)
         self.p2 = p2
 
 
-def _relax(
-    prev: np.ndarray, prev_cost: np.ndarray | None, s: _Scratch, out: np.ndarray,
-    cost: np.ndarray | None = None,
-) -> np.ndarray:
-    """One recurrence step: relax a whole front against its predecessor front.
+def _relax(lines: np.ndarray, s: _Scratch) -> None:
+    """One recurrence step, in place: ``lines`` holds the smoothed costs L of
+    each line's last cell and receives the residuals of its next cell.
 
-    ``prev`` holds the predecessors' residuals and ``prev_cost`` their
-    matching costs, so prev + prev_cost is their smoothed cost L; ``out``
-    receives the new residuals.  A walk of smoothed costs passes L as
-    ``prev``, no ``prev_cost``, and the front's own costs as ``cost``, and
-    ``out`` then receives the smoothed costs r + cost.  All are (front, D)
-    uint8 views of at most the scratch's front size, each with its
-    disparity axis contiguous; a horizontal walk passes rows of (H, W, D)
-    blocks, strided along the front.  ``out`` may be ``prev`` itself: L is
-    formed in the scratch before ``out`` is written.  With n = L - min(L) the
-    residual is min(n[d], nb[d], nb[d-1], nb[d+1]) where
-    nb = min(n + p1, p2) = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap
-    because min(n, nb) == min(n, p2).  Past n, every value is <= p2.
+    ``lines`` is a contiguous (front, D) uint8 block of at most the scratch's
+    front size.  With n = L - min(L) the residual is
+    min(n[d], nb[d], nb[d-1], nb[d+1]) where nb = min(n + p1, p2)
+    = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap because
+    min(n, nb) == min(n, p2).  Past n, every value is <= p2.  A line of
+    zeros relaxes to zeros.
     """
-    n, nb, pair, pmin = s.n, s.nb, s.pair, s.pmin
-    flat_n, flat_nb, flat_pair = s.flat_n, s.flat_nb, s.flat_pair
+    nb, pair, pmin = s.nb, s.pair, s.pmin
+    flat_nb, flat_pair = s.flat_nb, s.flat_pair
     starts, p1, cap = s.line_starts, s.p1, s.p2_minus_p1
-    size = len(prev)
-    if size < len(pmin):  # a narrower front: cut the buffers, copying nothing
-        cells = size * n.shape[1]
-        n, nb, pair, pmin = n[:size], nb[:size], pair[:size], pmin[:size]
-        flat_n, flat_nb, flat_pair = flat_n[:cells], flat_nb[:cells], flat_pair[:cells]
+    size = len(lines)
+    if size < len(pmin):  # a narrower window: cut the buffers, copying nothing
+        cells = size * nb.shape[1]
+        nb, pair, pmin = nb[:size], pair[:size], pmin[:size]
+        flat_nb, flat_pair = flat_nb[:cells], flat_pair[:cells]
         starts, p1, cap = starts[:size], p1[:size], cap[:size]
-    if prev_cost is None:
-        np.copyto(n, prev)
-    else:
-        np.add(prev, prev_cost, out=n)  # exact: bounded by p2 + cost <= 255
-    np.minimum.reduceat(flat_n, starts, out=pmin)
-    np.subtract(n, pmin[:, None], out=n)
-    np.minimum(n, cap, out=nb)
+    flat = lines.reshape(-1)
+    np.minimum.reduceat(flat, starts, out=pmin)
+    np.subtract(lines, pmin[:, None], out=lines)
+    np.minimum(lines, cap, out=nb)
     np.add(nb, p1, out=nb)
     # pair[d] = min(nb[d], nb[d + 1]); the last column would read the next
     # line's d = 0, so it holds p2, which never lowers a result
     np.minimum(flat_nb[:-1], flat_nb[1:], out=flat_pair[:-1])
     pair[:, -1] = s.p2
-    np.minimum(n, pair, out=n)
-    np.minimum(flat_n[1:], flat_pair[:-1], out=flat_n[1:])
-    if cost is None:
-        np.copyto(out, n)
-    else:
-        np.add(n, cost, out=out)  # exact, as L is
-    return out
+    np.minimum(lines, pair, out=lines)
+    np.minimum(flat[1:], flat_pair[:-1], out=flat[1:])
 
 
 def line_count(height: int, width: int, direction: Direction) -> int:
@@ -122,37 +107,29 @@ def line_count(height: int, width: int, direction: Direction) -> int:
 
 
 def _walk(
-    mc: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int,
-    smoothed: bool = False, overwrite: bool = False,
+    mc: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int, smoothed: bool = False,
 ) -> Iterator[tuple[tuple[slice, slice], np.ndarray]]:
     """Walk the lines [lo, hi) of ``direction``, yielding ``(index, block)``:
     the residuals L - C of the cells ``mc[index]``, or with ``smoothed``
     their smoothed costs L, in ``mc``'s orientation.  The block buffer is
     reused by the next yield, so consumers must copy or fold it before
-    advancing.  With ``overwrite``, a consumer may also overwrite the cells
-    ``mc[index]`` before advancing.
+    advancing.  The walk reads no cost of ``mc[index]`` after yielding it,
+    so a consumer may also overwrite those cells.
 
     Every direction walks down the rows of a (rows, cols, D) view: ``mc``,
     or for a horizontal direction its transpose.  A diagonal line moves
     shear = rx * ry columns per row: line k crosses row r at column
-    k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo of
-    the front, so a cell's predecessor is its own slot one row earlier.  The
-    front starts as zeros, and a line's first cell has residual 0, its
-    smoothed cost being its own cost.  So a residual step relaxes only the
-    slots whose lines crossed the previous row as well, against that row's
-    residuals and costs, and a slot whose line starts in this row keeps its
-    zero; a smoothed step relaxes every slot, a zero slot giving the cost
-    itself.  The window of slots that cross a row slides by at most one
-    slot per row.
+    k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo
+    of ``state``, which holds the smoothed costs of the line's last cell.
+    The slots whose lines cross a row form a window that slides by at most
+    one slot per row, and each slot enters it once, still zero.  Each step
+    relaxes the window in place, emits it, and adds the row's costs in.
 
     An unsheared walk relaxes a block of rows (512 KiB) per yield; a
     sheared window moves every row, so a diagonal yields one row at a time.
     The block buffers keep ``mc``'s own (H, W, D) order, so a horizontal
     walk gathers its costs and yields its results as runs of whole block
-    rows, and each of its steps relaxes strided views of them.  The first
-    residual step of a block reads the last costs of the block before, so a
-    horizontal walk, which gathers every block into one buffer, and a walk
-    whose consumer overwrites ``mc`` keep a copy of them.
+    rows, and each of its steps adds and emits strided views of them.
     """
     rx, ry = direction
     transposed = ry == 0
@@ -161,20 +138,19 @@ def _walk(
     rows, cols, disparities = view.shape
     offset = rows - 1 if shear > 0 else 0
     front = hi - lo
-    widest = min(front, cols)
-    s = _Scratch(widest, disparities, p1, p2)
+    if front == 0:
+        return
+    state = np.zeros((front, disparities), np.uint8)
+    s = _Scratch(min(front, cols), disparities, p1, p2)
     block = 1 if shear else max(1, min(rows, _BLOCK_BYTES // (front * disparities)))
 
-    def block_buffer(make) -> np.ndarray:
+    def block_buffer() -> np.ndarray:
         if transposed:
-            return make((front, block, disparities), dtype=np.uint8).transpose(1, 0, 2)
-        return make((block, front, disparities), dtype=np.uint8)
+            return np.empty((front, block, disparities), dtype=np.uint8).transpose(1, 0, 2)
+        return np.empty((block, front, disparities), dtype=np.uint8)
 
-    fronts = block_buffer(np.zeros)
-    costs = block_buffer(np.empty) if transposed else None
-    kept = np.empty((widest, disparities), np.uint8) if (overwrite or transposed) and not smoothed else None
-    prev = prev_cost = fronts[0]
-    pa = pb = 0  # the previous row's window: the slots with a predecessor
+    fronts = block_buffer()
+    costs = block_buffer() if transposed else None
     starts = range(0, rows, block)
     for r0 in starts if step > 0 else reversed(starts):
         r1 = min(r0 + block, rows)
@@ -186,19 +162,15 @@ def _walk(
         if costs is not None:
             np.copyto(costs[: r1 - r0], block_cost)
             block_cost = costs[: r1 - r0]
-        window = fronts[: r1 - r0, a:b]
+        lines, window = state[a:b], fronts[: r1 - r0, a:b]
         for i in range(r1 - r0) if step > 0 else range(r1 - r0 - 1, -1, -1):
+            _relax(lines, s)
             if smoothed:
-                _relax(prev[a:b], None, s, out=window[i], cost=block_cost[i])
+                np.add(lines, block_cost[i], out=lines)
+                np.copyto(window[i], lines)
             else:
-                u, v = max(a, pa), min(b, pb)
-                if u < v:
-                    _relax(prev[u:v], prev_cost[u - pa : v - pa], s, out=fronts[i, u:v])
-                prev_cost, pa, pb = block_cost[i], a, b
-            prev = fronts[i]
-        if kept is not None:
-            np.copyto(kept[: b - a], prev_cost)
-            prev_cost = kept[: b - a]
+                np.copyto(window[i], lines)
+                np.add(lines, block_cost[i], out=lines)
         if transposed:
             yield (slice(c0 + a, c0 + b), slice(r0, r1)), window.transpose(1, 0, 2)
         else:
@@ -230,7 +202,8 @@ def aggregate_lines(
     Lines are numbered from 0 to ``line_count`` (the default ``hi``): rows
     for horizontal, columns for vertical, and x - rx * ry * y shifted to
     start at 0 for a diagonal.  Every selected line is a complete path, so
-    chunked and single-call execution agree bit for bit.  ``out`` may be
+    chunked and single-call execution agree bit for bit, and an empty range
+    writes nothing.  ``out`` may be
     wider than uint8, such as a uint16 sum over directions, and it may be
     ``mc`` itself, whose walked costs then become r + costs * C.  Above
     ``costs=1`` that sum is formed in bytes, so it must stay <= 255, and it
@@ -240,8 +213,7 @@ def aggregate_lines(
         raise ValueError(f"add takes costs 0 or 1, got {costs}")
     if hi is None:
         hi = line_count(mc.shape[0], mc.shape[1], direction)
-    overwrite = np.may_share_memory(mc, out)
-    for index, block in _walk(mc, direction, p1, p2, lo, hi, smoothed=costs == 1, overwrite=overwrite):
+    for index, block in _walk(mc, direction, p1, p2, lo, hi, smoothed=costs == 1):
         if add or costs > 1:
             part = out[index]
             if costs > 1:

@@ -40,21 +40,18 @@ def census_rows(image: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
     identical to a single full-range call.
     """
     height, width = image.shape
-    padded = np.pad(image, ((WINDOW_HALF_Y, WINDOW_HALF_Y), (WINDOW_HALF_X, WINDOW_HALF_X)), mode="edge")
+    hy, hx = WINDOW_HALF_Y, WINDOW_HALF_X
+    # pad only the rows [y0 - hy, y1 + hy) that the window reads
+    top, bottom = max(0, y0 - hy), min(height, y1 + hy)
+    padded = np.pad(image[top:bottom], ((top - y0 + hy, y1 + hy - bottom), (hx, hx)), mode="edge")
     rows = y1 - y0
-    feat = np.zeros((rows, width), dtype=np.uint32)
+    feat = out[y0:y1]
+    feat.fill(0)
     for dx, dy in PAIR_OFFSETS:
-        u = padded[
-            y0 + WINDOW_HALF_Y + dy : y1 + WINDOW_HALF_Y + dy,
-            WINDOW_HALF_X + dx : WINDOW_HALF_X + dx + width,
-        ]
-        v = padded[
-            y0 + WINDOW_HALF_Y - dy : y1 + WINDOW_HALF_Y - dy,
-            WINDOW_HALF_X - dx : WINDOW_HALF_X - dx + width,
-        ]
+        u = padded[hy + dy : hy + dy + rows, hx + dx : hx + dx + width]
+        v = padded[hy - dy : hy - dy + rows, hx - dx : hx - dx + width]
         feat <<= 1
         feat |= u >= v
-    out[y0:y1] = feat
 
 
 def census_transform(image: np.ndarray) -> np.ndarray:
