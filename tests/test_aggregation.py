@@ -211,23 +211,38 @@ def _clobbering(walk):
     return clobbered
 
 
-@pytest.mark.parametrize("block_bytes", [1, 100])
-def test_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
-    # block_bytes=1 gives one front per block, 100 gives ragged blocks of 3-5
-    # fronts.  Horizontal walks relax strided views of their blocks, costs=1
-    # carries smoothed costs and costs=6 folds; the walk must read no cost
-    # again once it has yielded it
+def _walk_blocks(monkeypatch, block_bytes, seed, costs):
+    """Walk a small random volume in every direction with blocks of
+    ``block_bytes`` and a consumer that clobbers the walked costs, and check
+    each ``costs`` against the oracle.  The walk must read no cost again
+    once it has yielded it."""
     monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
     monkeypatch.setattr(aggregation, "_walk", _clobbering(aggregation._walk))
-    rng = np.random.default_rng(9)
+    rng = np.random.default_rng(seed)
     mc = rng.integers(0, 32, (5, 7, 4), np.uint8)
     params = SgmParams(disparities=4, p1=3, p2=40, paths=8)
     for direction in ALL_DIRECTIONS:
         residuals = oracle_sgm(mc, direction, params) - mc
-        for costs in (0, 1, 6):
+        for k in costs:
             walked, out = mc.copy(), np.empty_like(mc)
-            aggregate_lines(walked, out, direction, params.p1, params.p2, costs=costs)
-            assert (out == residuals + costs * mc).all(), (direction, costs)
+            aggregate_lines(walked, out, direction, params.p1, params.p2, costs=k)
+            assert (out == residuals + k * mc).all(), (direction, k)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
+    # block_bytes=1 gives one front per block, 100 gives ragged blocks of 3-5
+    # fronts.  Horizontal walks relax strided views of their blocks; costs=1
+    # carries smoothed costs
+    _walk_blocks(monkeypatch, block_bytes, 9, (0, 1, 6))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_residual_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
+    # as test_walk_blocks_match_scalar_oracle on another volume, for the
+    # residual (costs=0) and folded (costs=6) walks, whose first step of a
+    # block continues from the last step of the block before
+    _walk_blocks(monkeypatch, block_bytes, 10, (0, 6))
 
 
 def _fold_factor(p2: int) -> int:
