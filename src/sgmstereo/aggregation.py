@@ -16,7 +16,9 @@ costs in, which is exact because cost <= 255 - p2 is checked on entry
 relax to residual 0: a line's first cell has L = C.  Walks that feed byte
 sums emit residuals, which sum more compactly (a byte holds 255 // p2 of
 them, against 255 // (31 + p2) smoothed costs); walks whose sum keeps costs
-whole, as a uint16 sum does, emit L.
+whole emit L.  A walk over a uint16 cube of packed cells (see
+params.SUM_BITS) reads each cell's cost out of its cost bits, and its
+consumer adds L into the sum bits below them.
 
 The step runs in single bytes by two exact identities.  With
 n = L - min(L) >= 0, the residual is min(n[d], n[d-1] + p1, n[d+1] + p1, p2);
@@ -35,7 +37,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .params import Direction, SgmParams
+from .params import SUM_BITS, Direction, SgmParams
 
 # bytes per block of fronts a walk computes between two yields: enough steps
 # to read and write the volume in long runs, small next to a frame's memory
@@ -111,10 +113,11 @@ def _walk(
 ) -> Iterator[tuple[tuple[slice, slice], np.ndarray]]:
     """Walk the lines [lo, hi) of ``direction``, yielding ``(index, block)``:
     the residuals L - C of the cells ``mc[index]``, or with ``smoothed``
-    their smoothed costs L, in ``mc``'s orientation.  The block buffer is
-    reused by the next yield, so consumers must copy or fold it before
-    advancing.  The walk reads no cost of ``mc[index]`` after yielding it,
-    so a consumer may also overwrite those cells.
+    their smoothed costs L, in ``mc``'s orientation.  ``mc`` is a byte cube
+    or a uint16 cube of packed cells.  The block buffer is reused by the
+    next yield, so consumers must copy or fold it before advancing.  The
+    walk reads no cost of ``mc[index]`` after yielding it, so a consumer may
+    also overwrite those cells.
 
     Every direction walks down the rows of a (rows, cols, D) view: ``mc``,
     or for a horizontal direction its transpose.  A diagonal line moves
@@ -129,7 +132,9 @@ def _walk(
     sheared window moves every row, so a diagonal yields one row at a time.
     The block buffers keep ``mc``'s own (H, W, D) order, so a horizontal
     walk gathers its costs and yields its results as runs of whole block
-    rows, and each of its steps adds and emits strided views of them.
+    rows, and each of its steps adds and emits strided views of them.  A
+    walk over packed cells reads a block's costs out of them in one
+    narrowing pass, which for a horizontal walk is its gather.
     """
     rx, ry = direction
     transposed = ry == 0
@@ -149,8 +154,9 @@ def _walk(
             return np.empty((front, block, disparities), dtype=np.uint8).transpose(1, 0, 2)
         return np.empty((block, front, disparities), dtype=np.uint8)
 
+    packed = mc.dtype == np.uint16
     fronts = block_buffer()
-    costs = block_buffer() if transposed else None
+    costs = block_buffer() if transposed or packed else None
     starts = range(0, rows, block)
     for r0 in starts if step > 0 else reversed(starts):
         r1 = min(r0 + block, rows)
@@ -160,8 +166,11 @@ def _walk(
             continue  # no line of the range crosses this row
         block_cost = view[r0:r1, c0 + a : c0 + b]
         if costs is not None:
-            np.copyto(costs[: r1 - r0], block_cost)
-            block_cost = costs[: r1 - r0]
+            cells, block_cost = block_cost, costs[: r1 - r0, a:b]
+            if packed:
+                np.right_shift(cells, SUM_BITS, out=block_cost, casting="unsafe")
+            else:
+                np.copyto(block_cost, cells)
         lines, window = state[a:b], fronts[: r1 - r0, a:b]
         for i in range(r1 - r0) if step > 0 else range(r1 - r0 - 1, -1, -1):
             _relax(lines, s)
@@ -203,11 +212,12 @@ def aggregate_lines(
     for horizontal, columns for vertical, and x - rx * ry * y shifted to
     start at 0 for a diagonal.  Every selected line is a complete path, so
     chunked and single-call execution agree bit for bit, and an empty range
-    writes nothing.  ``out`` may be
-    wider than uint8, such as a uint16 sum over directions, and it may be
-    ``mc`` itself, whose walked costs then become r + costs * C.  Above
+    writes nothing.  ``out`` may be wider than uint8, and it may be ``mc``
+    itself, whose walked costs then become r + costs * C.  Above
     ``costs=1`` that sum is formed in bytes, so it must stay <= 255, and it
-    cannot be added.
+    cannot be added.  A uint16 ``mc`` holds packed cells (see
+    params.SUM_BITS), and adding into ``mc`` itself adds into their sum
+    bits, as the pipeline does for every direction.
     """
     if add and costs > 1:
         raise ValueError(f"add takes costs 0 or 1, got {costs}")

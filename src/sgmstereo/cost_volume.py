@@ -11,6 +11,8 @@ import struct
 
 import numpy as np
 
+from .params import SUM_BITS
+
 # bytes of the uint32 xor scratch per row block: larger blocks spread
 # numpy's per-call cost over more pixels, and 1 MiB keeps the scratch a
 # negligible share of a frame's peak memory
@@ -31,6 +33,8 @@ def matching_cost_rows(base: np.ndarray, match: np.ndarray, out: np.ndarray, y0:
 
     out[y, x, d] = popcount(base[y, x] ^ match[y, x - d]), with x - d clamped
     to column 0.  Rows are independent; any partition gives identical output.
+    ``out`` is the byte cube or a uint16 cube of packed cells: each then
+    holds its cost in the cost bits and a zero sum (see params.SUM_BITS).
 
     Each block of rows is one xor of every base pixel against its D match
     pixels, read through a strided window view of the reversed, padded
@@ -53,7 +57,10 @@ def matching_cost_rows(base: np.ndarray, match: np.ndarray, out: np.ndarray, y0:
         pad[:, width:] = match[r0:r1, :1]
         windows = np.lib.stride_tricks.sliding_window_view(pad, disparities, axis=1)
         np.bitwise_xor(base[r0:r1, :, None], windows[:, ::-1], out=bits)
-        np.bitwise_count(bits, out=out[r0:r1])
+        cells = out[r0:r1]
+        np.bitwise_count(bits, out=cells)
+        if cells.dtype == np.uint16:  # packed: C above a zero sum
+            np.multiply(cells, 1 << SUM_BITS, out=cells)  # a shift, faster as a multiply
 
 
 def matching_cost(base: np.ndarray, match: np.ndarray, disparities: int) -> np.ndarray:

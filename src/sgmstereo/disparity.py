@@ -6,9 +6,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import SgmParams
+from .params import SUM_BITS, SgmParams
 
-# bytes of the 16-bit sum per block of rows in select_rows
+# bytes of the keys per block of rows in select_rows
 _BLOCK_BYTES = 1 << 19
 
 # Paeth's median-of-9 selection network: each pair (i, j) leaves the smaller
@@ -34,48 +34,43 @@ def _check_volumes(volumes: Sequence[np.ndarray]) -> tuple[int, int, int]:
 
 
 def select_rows(volumes: Sequence[np.ndarray], out: np.ndarray, y0: int, y1: int) -> None:
-    """Winner-takes-all over rows [y0, y1): sum the volumes and keep the
-    lowest disparity attaining the minimum.
+    """Winner-takes-all over rows [y0, y1): the lowest disparity attaining
+    each pixel's minimal sum S.
 
-    The sum is built a block of rows at a time in one small reused 16-bit
-    buffer: each volume is read once, the buffer stays in cache, and the
-    memory a call touches does not grow with its row range.  When the
-    dtypes bound the sum so that the key sum << ceil(log2 D) | d fits 16
-    bits, as for one or two byte volumes at D <= 128, one minimum over each
-    pixel's keys gives the lowest-cost disparity, the lower index on ties.
-    Otherwise an argmin searches the sum; up to eight byte volumes peak at
-    8 * 255, so the 16-bit sum is exact, and a single volume, such as the
-    pipeline's uint16 sum, is searched in place.
+    ``volumes`` are byte volumes, which are summed, or one uint16 cube of
+    packed cells, whose S is its sum bits (see params.SUM_BITS).  A block
+    of rows at a time, the keys S << ceil(log2 D) | d are built in one
+    small reused buffer, so each volume is read once, the buffer stays in
+    cache and the memory a call touches does not grow with its row range.
+    One minimum over each pixel's keys gives the lowest-cost disparity, the
+    lower index on ties.  The keys take 16 bits where the bound on S allows
+    it, as for one or two byte volumes at D <= 128, and 32 bits otherwise.
     """
     width, disparities = volumes[0].shape[1:]
     shift = (disparities - 1).bit_length()
-    bound = sum(int(np.iinfo(v.dtype).max) for v in volumes)
-    packed = (bound + 1) << shift <= 1 << 16
-    block = max(1, min(y1 - y0, _BLOCK_BYTES // (2 * width * disparities)))
-    total = np.empty((block, width, disparities), dtype=np.uint16) if packed or len(volumes) > 1 else None
-    if packed:
-        # a full plane of levels: numpy is slower with a broadcast operand
-        levels = np.broadcast_to(np.arange(disparities, dtype=np.uint16), total.shape).copy()
-        pixel_starts = np.arange(0, block * width * disparities, disparities)
-        keys = np.empty(block * width, dtype=np.uint16)
+    packed = volumes[0].dtype == np.uint16
+    bound = (1 << SUM_BITS) - 1 if packed else 255 * len(volumes)
+    dtype = np.uint16 if (bound + 1) << shift <= 1 << 16 else np.uint32
+    block = max(1, min(y1 - y0, _BLOCK_BYTES // (np.dtype(dtype).itemsize * width * disparities)))
+    keys = np.empty((block, width, disparities), dtype)
+    # a full plane of levels: numpy is slower with a broadcast operand
+    levels = np.broadcast_to(np.arange(disparities, dtype=dtype), keys.shape).copy()
+    pixel_starts = np.arange(0, keys.size, disparities)
+    best = np.empty(block * width, dtype)
     for r0 in range(y0, y1, block):
         r1 = min(r0 + block, y1)
-        if total is None:
-            acc = volumes[0][r0:r1]
+        acc, pixels = keys[: r1 - r0], (r1 - r0) * width
+        if packed:
+            np.bitwise_and(volumes[0][r0:r1], (1 << SUM_BITS) - 1, out=acc)
         else:
-            acc = total[: r1 - r0]
             np.copyto(acc, volumes[0][r0:r1])
             for v in volumes[1:]:
                 np.add(acc, v[r0:r1], out=acc)
-        if packed:
-            pixels = (r1 - r0) * width
-            np.multiply(acc, 1 << shift, out=acc)  # a shift, faster as a multiply
-            np.bitwise_or(acc, levels[: r1 - r0], out=acc)
-            np.minimum.reduceat(acc.reshape(-1), pixel_starts[:pixels], out=keys[:pixels])
-            np.bitwise_and(keys[:pixels], (1 << shift) - 1, out=keys[:pixels])
-            out[r0:r1] = keys[:pixels].reshape(r1 - r0, width)
-        else:
-            out[r0:r1] = np.argmin(acc, axis=2)
+        np.multiply(acc, 1 << shift, out=acc)  # a shift, faster as a multiply
+        np.bitwise_or(acc, levels[: r1 - r0], out=acc)
+        np.minimum.reduceat(acc.reshape(-1), pixel_starts[:pixels], out=best[:pixels])
+        np.bitwise_and(best[:pixels], (1 << shift) - 1, out=best[:pixels])
+        out[r0:r1] = best[:pixels].reshape(r1 - r0, width)
 
 
 def select_disparity(volumes: Sequence[np.ndarray], params: SgmParams | None = None) -> np.ndarray:

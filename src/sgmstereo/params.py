@@ -5,8 +5,6 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-import numpy as np
-
 Direction = tuple[int, int]
 
 # Canonical direction order; the 2-, 4- and 8-direction sets are prefixes.
@@ -32,35 +30,37 @@ PATH_SETS: dict[int, tuple[Direction, ...]] = {
 MAX_COST = 31
 MAX_P2 = 255 - MAX_COST
 
+# A packed uint16 cell holds a cost C in its high COST_BITS bits and, below
+# them, a sum S over up to 8 smoothed costs, each at most MAX_COST + MAX_P2:
+# S <= 8 * 255 = 2040 < 2 ** SUM_BITS, so adding to S never carries into C.
+COST_BITS = MAX_COST.bit_length()
+SUM_BITS = 16 - COST_BITS
 
-def sum_volumes(
-    directions: tuple[Direction, ...], p2: int,
-) -> tuple[type, tuple[tuple[Direction, ...], ...], bool]:
-    """How the pipeline sums its smoothed directions: the dtype of the sum
-    volumes, the directions each of them sums, in order, and whether the
-    last direction folds into the cost cube instead.
 
-    A smoothed cost is at most MAX_COST + p2, so one byte holds the sum of
-    k = 255 // (MAX_COST + p2) directions exactly.  When ceil(paths / k) <= 2
-    byte volumes suffice, they take no more memory than one uint16 volume,
-    which otherwise sums every direction (at most 8 * 255).
+def sum_volumes(directions: tuple[Direction, ...], p2: int) -> str:
+    """How the pipeline sums its smoothed directions, each layout two bytes
+    a cell or fewer, counting the cost cube:
 
-    Where that takes two bytes a cell, the fold may take one.  A smoothed
-    cost L is its matching cost C plus a residual r in [0, p2], so the sum
-    is S = paths * C + sum(r).  When one byte holds the residuals of every
-    direction but the last (paths - 1 <= 255 // p2) and the last
-    direction's r + paths * C fits a byte (paths * MAX_COST + p2 <= 255),
-    one byte volume sums those residuals, the last direction overwrites the
-    cost cube with its r + paths * C, and S is the volume plus the cube.
+    * ``"byte"``: one byte volume sums every direction's smoothed costs.  A
+      smoothed cost is at most MAX_COST + p2, so this holds when
+      paths <= 255 // (MAX_COST + p2), as at 2 paths and p2 <= 96.
+    * ``"fold"``: a smoothed cost L is its matching cost C plus a residual r
+      in [0, p2], so the sum is S = paths * C + sum(r).  When one byte holds
+      the residuals of every direction but the last (paths - 1 <= 255 // p2)
+      and the last direction's r + paths * C fits a byte
+      (paths * MAX_COST + p2 <= 255), one byte volume sums those residuals,
+      the last direction overwrites the byte cost cube with its
+      r + paths * C, and S is the volume plus the cube.
+    * ``"packed"``: otherwise the cost cube is uint16, each cell packing C
+      above S (see COST_BITS), and every direction adds its smoothed costs
+      into the sum bits.
     """
     paths = len(directions)
-    per_byte = 255 // (MAX_COST + p2)
-    groups = tuple(directions[i : i + per_byte] for i in range(0, paths, per_byte))
-    if len(groups) > 1 and paths - 1 <= 255 // p2 and paths * MAX_COST + p2 <= 255:
-        return np.uint8, (directions[:-1],), True
-    if len(groups) <= 2:
-        return np.uint8, groups, False
-    return np.uint16, (directions,), False
+    if paths <= 255 // (MAX_COST + p2):
+        return "byte"
+    if paths - 1 <= 255 // p2 and paths * MAX_COST + p2 <= 255:
+        return "fold"
+    return "packed"
 
 
 class ConfigError(ValueError):

@@ -1,5 +1,5 @@
 """End-to-end pipeline orchestration: census features, matching cost,
-path smoothing summed into one or two cost volumes, winner-takes-all
+path smoothing summed in at most two bytes a cell, winner-takes-all
 selection and median filtering, with optional evaluation against ground
 truth and compute-only benchmarking.
 
@@ -107,11 +107,14 @@ class Executor:
     """Holds the buffers and optional worker pool for repeated runs on one
     image pair; reused across benchmark iterations.
 
-    ``buffers`` maps names to the frame's arrays.  After ``run()``,
-    ``buffers["mc"]`` holds the matching costs C, except when the last
-    direction folds into it (see ``params.sum_volumes``): then it holds
-    r + paths * C, that direction's residuals plus every path's share of
-    the costs, and the next ``run()`` rebuilds C first.
+    ``buffers`` maps names to the frame's arrays.  How the directions are
+    summed sets the cost cube's layout (see ``params.sum_volumes``).  After
+    ``run()``, ``buffers["mc"]`` holds the matching costs C in bytes, beside
+    a byte volume ``"cost_sum"``; or, where the last direction folds into
+    it, r + paths * C, that direction's residuals plus every path's share
+    of the costs; or, with no sum volume, uint16 packed cells that hold C
+    in their cost bits and, below them, the sum over every direction.  The
+    next ``run()`` rebuilds C first.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -149,26 +152,24 @@ class Executor:
             self.workers = 1
         alloc = shared_empty if self._parallel else (lambda shape, dtype: np.empty(shape, dtype))
 
+        # S(p, d), the sum over directions of the smoothed costs: in one byte
+        # volume where a byte holds it, or there with the last direction
+        # folded into "mc", or in the sum bits of "mc"; see params.sum_volumes
+        self._layout = sum_volumes(params.directions, params.p2)
+        packed = self._layout == "packed"
         height, width, disparities = self.height, self.width, params.disparities
         bufs: dict[str, np.ndarray] = {
             "left": alloc((height, width), np.uint8),
             "right": alloc((height, width), np.uint8),
             "census_left": alloc((height, width), np.uint32),
             "census_right": alloc((height, width), np.uint32),
-            "mc": alloc((height, width, disparities), np.uint8),
+            "mc": alloc((height, width, disparities), np.uint16 if packed else np.uint8),
             # disparity indices are below D <= 256: bytes, widened on return
             "disp_raw": alloc((height, width), np.uint8),
             "disp_out": alloc((height, width), np.uint8),
         }
-        # S(p, d), the sum over directions of the smoothed costs: in one or
-        # two byte volumes where bytes hold it exactly, else in one uint16
-        # volume (at most 8 * 255); or, where that takes two bytes a cell,
-        # the residuals of all directions but the last in one byte volume
-        # and the last folded into "mc"; see params.sum_volumes
-        dtype, groups, self._fold = sum_volumes(params.directions, params.p2)
-        self._sums = {f"cost_sum{i}": group for i, group in enumerate(groups)}
-        for name in self._sums:
-            bufs[name] = alloc((height, width, disparities), dtype)
+        if not packed:
+            bufs["cost_sum"] = alloc((height, width, disparities), np.uint8)
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
         self.buffers = bufs
@@ -215,17 +216,20 @@ class Executor:
         ]
         timed("census", census_tasks)
         timed("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-        # the first direction of each sum volume overwrites every cell of it,
-        # the others add to it: residuals when folding, else smoothed costs;
-        # the tasks of one direction touch disjoint cells
-        costs = 0 if self._fold else 1
-        for dst, group in self._sums.items():
-            for i, direction in enumerate(group):
-                timed(_direction_name(direction), self._aggregation_tasks(direction, dst, i > 0, costs))
-        sums = tuple(self._sums)
-        if self._fold:
+        # into the byte volume, the first direction writes every cell and the
+        # others add: residuals when folding, else smoothed costs.  Into
+        # packed cells, whose sums start at 0, every direction adds.  The
+        # tasks of one direction touch disjoint cells
+        directions = self.params.directions
+        fold, packed = self._layout == "fold", self._layout == "packed"
+        dst = "mc" if packed else "cost_sum"
+        for i, direction in enumerate(directions[:-1] if fold else directions):
+            tasks = self._aggregation_tasks(direction, dst, packed or i > 0, 0 if fold else 1)
+            timed(_direction_name(direction), tasks)
+        sums = ("mc",) if packed else ("cost_sum",)
+        if fold:
             # the last direction turns each walked cost C into r + paths * C
-            last = self.params.directions[-1]
+            last = directions[-1]
             timed(_direction_name(last), self._aggregation_tasks(last, "mc", False, self.params.paths))
             sums += ("mc",)
         timed("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows])

@@ -8,6 +8,7 @@ from sgmstereo import PATH_SETS, SgmParams, aggregate_all, aggregate_path, match
 from sgmstereo import aggregation
 from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines, line_count
 from sgmstereo.oracle import oracle_sgm
+from sgmstereo.params import SUM_BITS
 
 from conftest import hamming_volumes, sgm_params
 
@@ -215,18 +216,37 @@ def _walk_blocks(monkeypatch, block_bytes, seed, costs):
     """Walk a small random volume in every direction with blocks of
     ``block_bytes`` and a consumer that clobbers the walked costs, and check
     each ``costs`` against the oracle.  The walk must read no cost again
-    once it has yielded it."""
+    once it has yielded it.  Then walk the same costs as packed cells, with
+    a consumer that adds every block into their sum bits after its yield,
+    as the pipeline does: the blocks must equal the byte cube's, and the
+    cells must end with the costs above the summed blocks."""
     monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
-    monkeypatch.setattr(aggregation, "_walk", _clobbering(aggregation._walk))
+    walk = aggregation._walk
+    monkeypatch.setattr(aggregation, "_walk", _clobbering(walk))
     rng = np.random.default_rng(seed)
     mc = rng.integers(0, 32, (5, 7, 4), np.uint8)
     params = SgmParams(disparities=4, p1=3, p2=40, paths=8)
     for direction in ALL_DIRECTIONS:
-        residuals = oracle_sgm(mc, direction, params) - mc
+        smoothed = oracle_sgm(mc, direction, params)
+        residuals = smoothed - mc
         for k in costs:
             walked, out = mc.copy(), np.empty_like(mc)
             aggregate_lines(walked, out, direction, params.p1, params.p2, costs=k)
             assert (out == residuals + k * mc).all(), (direction, k)
+        lines = line_count(mc.shape[0], mc.shape[1], direction)
+        for expected, emits_smoothed in ((residuals, False), (smoothed, True)):
+            args = (direction, params.p1, params.p2, 0, lines, emits_smoothed)
+            byte_blocks = [(index, block.copy()) for index, block in walk(mc.copy(), *args)]
+            cells = mc.astype(np.uint16) << SUM_BITS
+            packed_blocks = []
+            for index, block in walk(cells, *args):
+                packed_blocks.append((index, block.copy()))
+                np.add(cells[index], block, out=cells[index])
+            assert len(packed_blocks) == len(byte_blocks), direction
+            for (index, block), (byte_index, byte_block) in zip(packed_blocks, byte_blocks):
+                assert index == byte_index and (block == byte_block).all(), direction
+            assert (cells >> SUM_BITS == mc).all(), direction
+            assert (cells & ((1 << SUM_BITS) - 1) == expected).all(), direction
 
 
 @pytest.mark.parametrize("block_bytes", [1, 100])

@@ -125,16 +125,17 @@ def _bench_buffer_mb(stderr: str) -> float:
     return float(match.group(1))
 
 
-def test_bench_reports_fewer_buffer_mib_at_4_paths_than_at_8(pair_dir, tmp_path):
+def test_bench_reports_no_more_buffer_mib_at_8_paths_than_at_4(pair_dir, tmp_path):
     # at the default p2 the 4-path Executor holds the cost cube and one byte
-    # volume (the last direction folds into the cube), 8 paths a uint16 sum
+    # volume (the last direction folds into the cube), and 8 paths one cube
+    # of packed uint16 cells: two bytes a cell either way
     reported = {}
     for paths in (4, 8):
         proc = run_cli(*base_args(pair_dir)[:4], "--output", tmp_path / f"p{paths}.pgm",
                        "--disparities", 16, "--paths", paths, "--threads", 1, "--bench", 1)
         assert proc.returncode == 0, proc.stderr
         reported[paths] = _bench_buffer_mb(proc.stderr)
-    assert 0 < reported[4] < reported[8]
+    assert 0 < reported[8] <= reported[4]
 
 
 def test_thread_counts_produce_identical_files(pair_dir, tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sgmstereo import cost_volume, dump_cost_volume, load_cost_volume, matching_cost
 from sgmstereo.cost_volume import matching_cost_rows
 from sgmstereo.oracle import oracle_matching_cost
+from sgmstereo.params import SUM_BITS
 
 from conftest import census_pairs
 
@@ -136,3 +137,18 @@ def test_row_ranges_straddling_blocks_match_oracle(monkeypatch):
         for y0, y1 in ((0, 4), (4, 11)):
             matching_cost_rows(base, match, out, y0, y1)
         assert (out == oracle_matching_cost(base, match, disparities)).all()
+
+
+@given(census_pairs(), st.integers(1, 12), st.data())
+@settings(deadline=None)
+def test_packed_cells_hold_the_costs_over_a_zero_sum(pair, disparities, data):
+    # a uint16 cube takes each cost in its cost bits and 0 in its sum bits,
+    # whatever the cells held before, a range of rows at a time
+    base, match = pair
+    height = base.shape[0]
+    cut = data.draw(st.integers(0, height))
+    out = np.full(base.shape + (disparities,), 0xFFFF, np.uint16)
+    for y0, y1 in ((0, cut), (cut, height)):
+        matching_cost_rows(base, match, out, y0, y1)
+    assert (out >> SUM_BITS == oracle_matching_cost(base, match, disparities)).all()
+    assert (out & ((1 << SUM_BITS) - 1) == 0).all()

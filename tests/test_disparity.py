@@ -8,6 +8,7 @@ from sgmstereo import median_filter_3x3, select_disparity
 from sgmstereo import disparity
 from sgmstereo.disparity import median_rows, select_rows
 from sgmstereo.oracle import oracle_median_filter
+from sgmstereo.params import SUM_BITS
 
 from conftest import hamming_volumes
 
@@ -145,8 +146,8 @@ def test_median_rows_rewrites_only_its_rows(m, data):
 
 
 def test_select_rows_blocks_match_direct_sum(monkeypatch):
-    # 3-row accumulator blocks at W=5, D=4: row ranges start and end mid-block
-    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 2 * 5 * 4)
+    # 3-row blocks of 32-bit keys at W=5, D=4: row ranges start and end mid-block
+    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 4 * 5 * 4)
     rng = np.random.default_rng(8)
     volumes = [rng.integers(0, 256, (11, 5, 4), np.uint8) for _ in range(8)]
     expected = np.argmin(sum(v.astype(np.int64) for v in volumes), axis=2)
@@ -156,58 +157,87 @@ def test_select_rows_blocks_match_direct_sum(monkeypatch):
     assert (out == expected).all()
 
 
-def test_select_rows_searches_one_summed_volume_in_place(monkeypatch):
-    # the pipeline passes its uint16 sum alone; same mid-block row ranges
-    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 2 * 5 * 4)
+def test_select_rows_keys_packed_cells_on_their_sum_bits(monkeypatch):
+    # the pipeline passes its packed cube alone; same mid-block row ranges.
+    # The cost bits are highest where the sum is lowest, so a key that kept
+    # them would pick another disparity, and the cube must stay as it is
+    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 4 * 5 * 4)
     rng = np.random.default_rng(9)
-    total = rng.integers(0, 8 * 255 + 1, (11, 5, 4), np.uint16)
-    before = total.copy()
+    sums = rng.integers(0, 1 << SUM_BITS, (11, 5, 4), np.uint16)
+    costs = np.where(sums == sums.min(axis=2, keepdims=True), 31, 0).astype(np.uint16)
+    cells = costs << SUM_BITS | sums
+    before = cells.copy()
     out = np.full((11, 5), -1, np.int32)
     for y0, y1 in ((0, 1), (1, 5), (5, 5), (5, 11)):
-        select_rows([total], out, y0, y1)
-    assert (out == np.argmin(before, axis=2)).all()
-    assert (total == before).all()
+        select_rows([cells], out, y0, y1)
+    assert (out == np.argmin(sums, axis=2)).all()
+    assert (cells == before).all()
+
+
+_SUM_MASK = (1 << SUM_BITS) - 1
+
+
+def _sums(volumes):
+    """The sum each pixel and disparity is selected on, in int64: the byte
+    volumes added up, or a packed cube's sum bits."""
+    if volumes[0].dtype == np.uint16:
+        return (volumes[0] & _SUM_MASK).astype(np.int64)
+    return sum(v.astype(np.int64) for v in volumes)
 
 
 @st.composite
 def selection_cases(draw):
-    """One or two byte volumes or one uint16 volume, with the extremes and
-    many ties, and a row range that may start and end inside a block."""
-    count, dtype, top = draw(st.sampled_from([(1, np.uint8, 255), (2, np.uint8, 255), (1, np.uint16, 65535)]))
-    disparities = draw(st.sampled_from([1, 2, 128, 129, 255, 256]) | st.integers(1, 256))
+    """One to eight byte volumes, or a packed cube with any cost bits, with
+    the extremes and many ties, and a row range that may start and end
+    inside a block."""
+    packed = draw(st.booleans())
+    top = _SUM_MASK if packed else 255
+    disparities = draw(st.sampled_from([1, 2, 32, 33, 128, 129, 255, 256]) | st.integers(1, 256))
     height, width = draw(st.integers(1, 7)), draw(st.integers(1, 3))
     values = st.sampled_from([0, top]) | st.integers(0, 3) | st.integers(0, top)
     shape = (height, width, disparities)
-    volumes = [draw(hnp.arrays(dtype, shape, elements=values)) for _ in range(count)]
+    if packed:
+        sums = draw(hnp.arrays(np.uint16, shape, elements=values))
+        costs = draw(hnp.arrays(np.uint16, shape, elements=st.integers(0, 31)))
+        volumes = [costs << SUM_BITS | sums]
+    else:
+        count = draw(st.integers(1, 8) | st.sampled_from([1, 2, 3]))
+        volumes = [draw(hnp.arrays(np.uint8, shape, elements=values)) for _ in range(count)]
     block_rows = draw(st.integers(1, 3))
     y0 = draw(st.integers(0, height))
     y1 = draw(st.integers(y0, height))
     return volumes, block_rows, y0, y1
 
 
-def _extremes(dtype, count: int, disparities: int, hot: int):
-    """Every cell at the dtype's top except the lowest disparity and ``hot``,
-    which hold 0 in the first volume: a tie the lowest index must win."""
-    top = np.iinfo(dtype).max
-    volumes = [np.full((2, 2, disparities), top, dtype) for _ in range(count)]
-    volumes[0][..., 0] = 0
-    volumes[0][..., hot] = 0
+def _extremes(count: int, disparities: int, hot: int):
+    """Byte volumes, or with ``count`` 0 a packed cube whose cost bits are
+    all set, with every sum at its top except at the lowest disparity and
+    ``hot``, which hold 0 in the first volume: a tie the lowest index must
+    win."""
+    dtype, top, low = (np.uint8, 255, 0) if count else (np.uint16, 0xFFFF, 31 << SUM_BITS)
+    volumes = [np.full((2, 2, disparities), top, dtype) for _ in range(max(count, 1))]
+    volumes[0][..., 0] = low
+    volumes[0][..., hot] = low
     return volumes
 
 
 @given(selection_cases())
-@example((_extremes(np.uint8, 2, 129, 128), 1, 0, 2))  # two bytes, D > 128
-@example((_extremes(np.uint8, 2, 128, 127), 1, 0, 2))
-@example((_extremes(np.uint8, 1, 256, 255), 1, 0, 2))
-@example((_extremes(np.uint16, 1, 256, 255), 1, 0, 2))
-@settings(deadline=None, max_examples=200)
+@example((_extremes(2, 129, 128), 1, 0, 2))  # two bytes, D > 128
+@example((_extremes(2, 128, 127), 1, 0, 2))
+@example((_extremes(1, 256, 255), 1, 0, 2))
+@example((_extremes(8, 256, 255), 1, 0, 2))
+@example((_extremes(0, 32, 31), 1, 0, 2))  # packed, 16-bit keys
+@example((_extremes(0, 33, 32), 1, 0, 2))
+@example((_extremes(0, 256, 255), 1, 0, 2))
+@settings(deadline=None, max_examples=300)
 def test_select_rows_matches_argmin_of_the_sum(case):
     volumes, block_rows, y0, y1 = case
     width, disparities = volumes[0].shape[1:]
-    expected = np.argmin(sum(v.astype(np.int64) for v in volumes), axis=2)
+    expected = np.argmin(_sums(volumes), axis=2)
     out = np.full(volumes[0].shape[:2], -1, np.int32)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(disparity, "_BLOCK_BYTES", block_rows * 2 * width * disparities)
+        # 16-bit keys get blocks of 2, 4 or 6 rows and 32-bit keys 1, 2 or 3
+        mp.setattr(disparity, "_BLOCK_BYTES", block_rows * 4 * width * disparities)
         select_rows(volumes, out, y0, y1)
     assert (out[y0:y1] == expected[y0:y1]).all()
     assert (out[:y0] == -1).all() and (out[y1:] == -1).all()

@@ -17,7 +17,8 @@ from sgmstereo import (
     write_pgm,
 )
 from sgmstereo import pipeline
-from sgmstereo.oracle import oracle_pipeline
+from sgmstereo.oracle import oracle_census, oracle_matching_cost, oracle_pipeline
+from sgmstereo.params import SUM_BITS
 from sgmstereo.pipeline import Executor
 from sgmstereo.workers import fork_available
 
@@ -124,7 +125,8 @@ def test_forced_pool_matches_oracle_on_random_pairs(seed, width, height, dispari
 def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled, paths, p2):
     # a direction that leaves cells of the summed volume untouched would keep
     # the previous pair's sums there, which a fresh Executor cannot show; at
-    # 4 paths the last direction overwrote "mc", which must be rebuilt
+    # 8 paths the sums sit in "mc" itself and must restart at 0, and at 4
+    # paths the last direction overwrote "mc", which must be rebuilt
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     first = shifted_pair(23, 17, 3, seed=18)
     second = shifted_pair(23, 17, 6, seed=19)
@@ -138,51 +140,45 @@ def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled, 
         assert (ex.run() == expected).all()
 
 
-def _smoothed_volumes(paths: int, p2: int) -> int:
-    """Byte volumes that hold the sum over ``paths`` smoothed costs exactly,
-    or 0 when more than two would be needed: a smoothed cost is at most
-    31 + p2."""
-    volumes = -(-paths // (255 // (31 + p2)))
-    return volumes if volumes <= 2 else 0
+def _layout(paths: int, p2: int) -> str:
+    """How the pipeline sums ``paths`` smoothed costs, each at most 31 + p2:
+    in one byte volume when a byte holds them all; else, when a byte holds
+    the residuals (each at most p2) of all directions but the last and the
+    last direction's r + paths * C fits the cube's byte, with that direction
+    folded into "mc"; else in the sum bits of packed uint16 cells."""
+    if paths * (31 + p2) <= 255:
+        return "byte"
+    if (paths - 1) * p2 <= 255 and paths * 31 + p2 <= 255:
+        return "fold"
+    return "packed"
 
 
-def _folds(paths: int, p2: int) -> bool:
-    """Whether the last direction folds into "mc": where the smoothed sums
-    take two bytes a cell, one byte holds the residuals (each at most p2) of
-    all directions but the last, and r + paths * C fits the cube's byte."""
-    return _smoothed_volumes(paths, p2) != 1 and paths - 1 <= 255 // p2 and paths * 31 + p2 <= 255
-
-
-def test_sum_buffers_are_bytes_exactly_when_bytes_hold_the_sum():
+def test_every_setting_holds_at_most_two_bytes_a_cell():
     left, right = shifted_pair(20, 12, 2, seed=17)
-    cells = 12 * 20 * 8
     for paths in (2, 4, 8):
-        for p2 in (32, 33, 84, 85, 86, 127, 128, 193, 194, 224):
-            with Executor(left, right, SgmParams(disparities=8, p1=5, p2=p2, paths=paths)) as ex:
-                volumes = {name: (b.shape, b.dtype) for name, b in ex.buffers.items() if b.ndim == 3}
-                sums = [b for name, b in ex.buffers.items() if b.ndim == 3 and name != "mc"]
-            assert volumes.pop("mc") == ((12, 20, 8), np.uint8)
-            smoothed = _smoothed_volumes(paths, p2)
-            count = 1 if _folds(paths, p2) else smoothed
-            dtypes = [np.uint8] * count if count else [np.uint16]
-            assert list(volumes.values()) == [((12, 20, 8), dtype) for dtype in dtypes], (paths, p2)
-            # the smoothed sums' bytes a cell, a uint16 volume taking two
-            assert sum(b.nbytes for b in sums) <= cells * (smoothed or 2), (paths, p2)
+        for p2 in range(2, 225):
+            with Executor(left, right, SgmParams(disparities=8, p1=1, p2=p2, paths=paths)) as ex:
+                volumes = {name: b.dtype for name, b in ex.buffers.items() if b.ndim == 3}
+                assert all(b.shape == (12, 20, 8) for b in ex.buffers.values() if b.ndim == 3)
+            if _layout(paths, p2) == "packed":
+                assert volumes == {"mc": np.uint16}, (paths, p2)
+            else:
+                assert volumes == {"mc": np.uint8, "cost_sum": np.uint8}, (paths, p2)
 
 
 def _striped_pair(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """A ramp, whose census word is the same at every interior pixel, and a
-    right image that inverts it (255 - left) in every other 12-column
+    right image that inverts it (255 - left) in every other 24-column
     stripe: matching costs are 0 or the full 31, constant down each column,
     so the residuals and smoothed costs climb to their bounds p2 and
-    31 + p2."""
+    31 + p2.  At 20x48 all 8 directions reach 31 + p2 in one cell."""
     y, x = np.mgrid[:height, :width]
     left = (3 * x + 7 * y).astype(np.uint8)
-    right = np.where((x // 12) % 2 == 1, 255 - left, left).astype(np.uint8)
+    right = np.where((x // 24) % 2 == 1, 255 - left, left).astype(np.uint8)
     return left, right
 
 
-_BOUND_CASES = [(84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2)]
+_BOUND_CASES = [(84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2), (84, 8), (224, 8), (200, 2)]
 
 
 @pytest.mark.parametrize("disparities", [1, 129, 256])
@@ -191,23 +187,45 @@ _BOUND_CASES = [(84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2)]
 def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, disparities):
     # folded (4 paths at p2 84 and 85, 2 paths at 97 and 193), the byte
     # volume must peak at (paths - 1) * p2, 255 at 4 paths and p2 = 85, and
-    # "mc" at paths * 31 + p2, 255 at 2 paths and p2 = 193; otherwise p2 = 96
-    # puts two smoothed costs in a byte (2 * 127 = 254) and p2 = 97 one, so
-    # a uint16 sum at 4 paths; with one disparity every residual is 0
+    # "mc" at paths * 31 + p2, 255 at 2 paths and p2 = 193.  At 2 paths and
+    # p2 = 96 a byte holds both smoothed costs (2 * 127 = 254).  Packed (4
+    # paths at 96 and 97, 8 paths, 2 paths at 200), the sum bits must peak
+    # at paths * (31 + p2), 2040 at 8 paths and p2 = 224, and the cost bits
+    # must keep the costs.  With one disparity every residual is 0
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
-    left, right = _striped_pair(12, 40)
+    left, right = _striped_pair(20, 48)
     params = SgmParams(disparities=disparities, p1=7, p2=p2, paths=paths)
     jump = p2 if disparities > 1 else 0
+    layout = _layout(paths, p2)
     with Executor(left, right, params, threads=threads) as ex:
         assert (ex.pool is not None) == (threads == 2 and _pool_expected())
         disp = ex.run()
         peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.ndim == 3}
-    if _folds(paths, p2):
-        assert peaks == {"mc": paths * 31 + jump, "cost_sum0": (paths - 1) * jump}
+        cells = ex.buffers["mc"]
+        if layout == "packed":
+            peaks = {"sum bits": int((cells & ((1 << SUM_BITS) - 1)).max()),
+                     "cost bits": int((cells >> SUM_BITS).max())}
+    if layout == "fold":
+        assert peaks == {"mc": paths * 31 + jump, "cost_sum": (paths - 1) * jump}
+    elif layout == "byte":
+        assert peaks == {"mc": 31, "cost_sum": paths * (31 + jump)}
     else:
-        per_volume = min(paths, 255 // (31 + p2)) if _smoothed_volumes(paths, p2) else paths
-        sums = [peak for name, peak in peaks.items() if name != "mc"]
-        assert max(sums) == per_volume * (31 + jump)
+        assert peaks == {"sum bits": paths * (31 + jump), "cost bits": 31}
+    assert (disp == oracle_pipeline(left, right, params)).all()
+
+
+@pytest.mark.parametrize("p2", [60, 84, 224])
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+def test_packed_cells_keep_their_costs_through_a_run(monkeypatch, threads, p2):
+    # at 8 paths every direction adds into "mc"; its cost bits must still
+    # hold the matching costs after the run
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = shifted_pair(23, 17, 3, seed=24)
+    params = SgmParams(disparities=8, p1=7, p2=p2, paths=8)
+    with Executor(left, right, params, threads=threads) as ex:
+        disp = ex.run()
+        costs = ex.buffers["mc"] >> SUM_BITS
+    assert (costs == oracle_matching_cost(oracle_census(left), oracle_census(right), 8)).all()
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
