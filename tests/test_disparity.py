@@ -145,11 +145,12 @@ def test_median_rows_rewrites_only_its_rows(m, data):
     assert (out == expected).all()
 
 
-def test_select_rows_blocks_match_direct_sum(monkeypatch):
-    # 3-row blocks of 32-bit keys at W=5, D=4: row ranges start and end mid-block
-    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 4 * 5 * 4)
+def _select_byte_blocks(monkeypatch, disparities: int, key_bytes: int):
+    """Eight byte volumes at W=5 selected in 3-row blocks of keys
+    ``key_bytes`` wide, over row ranges that start and end mid-block."""
+    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * key_bytes * 5 * disparities)
     rng = np.random.default_rng(8)
-    volumes = [rng.integers(0, 256, (11, 5, 4), np.uint8) for _ in range(8)]
+    volumes = [rng.integers(0, 256, (11, 5, disparities), np.uint8) for _ in range(8)]
     expected = np.argmin(sum(v.astype(np.int64) for v in volumes), axis=2)
     out = np.full((11, 5), -1, np.int32)
     for y0, y1 in ((0, 1), (1, 5), (5, 5), (5, 11)):
@@ -157,13 +158,23 @@ def test_select_rows_blocks_match_direct_sum(monkeypatch):
     assert (out == expected).all()
 
 
-def test_select_rows_keys_packed_cells_on_their_sum_bits(monkeypatch):
-    # the pipeline passes its packed cube alone; same mid-block row ranges.
-    # The cost bits are highest where the sum is lowest, so a key that kept
-    # them would pick another disparity, and the cube must stay as it is
-    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * 4 * 5 * 4)
+def test_select_rows_blocks_match_direct_sum(monkeypatch):
+    # a sum of at most 2040 keys in 16 bits at D=4
+    _select_byte_blocks(monkeypatch, 4, 2)
+
+
+def test_select_rows_blocks_of_32_bit_keys_match_direct_sum(monkeypatch):
+    # 2041 << 7 overflows 16 bits at D=65
+    _select_byte_blocks(monkeypatch, 65, 4)
+
+
+def _select_packed_blocks(monkeypatch, disparities: int, key_bytes: int):
+    """A packed cube at W=5 selected like _select_byte_blocks.  The cost bits
+    are highest where the sum is lowest, so a key that kept them would pick
+    another disparity, and the cube must stay as it is."""
+    monkeypatch.setattr(disparity, "_BLOCK_BYTES", 3 * key_bytes * 5 * disparities)
     rng = np.random.default_rng(9)
-    sums = rng.integers(0, 1 << SUM_BITS, (11, 5, 4), np.uint16)
+    sums = rng.integers(0, 1 << SUM_BITS, (11, 5, disparities), np.uint16)
     costs = np.where(sums == sums.min(axis=2, keepdims=True), 31, 0).astype(np.uint16)
     cells = costs << SUM_BITS | sums
     before = cells.copy()
@@ -172,6 +183,16 @@ def test_select_rows_keys_packed_cells_on_their_sum_bits(monkeypatch):
         select_rows([cells], out, y0, y1)
     assert (out == np.argmin(sums, axis=2)).all()
     assert (cells == before).all()
+
+
+def test_select_rows_keys_packed_cells_on_their_sum_bits(monkeypatch):
+    # the pipeline passes its packed cube alone; 16-bit keys at D=4
+    _select_packed_blocks(monkeypatch, 4, 2)
+
+
+def test_select_rows_keys_packed_cells_in_32_bit_keys(monkeypatch):
+    # 2048 << 6 overflows 16 bits at D=33
+    _select_packed_blocks(monkeypatch, 33, 4)
 
 
 _SUM_MASK = (1 << SUM_BITS) - 1

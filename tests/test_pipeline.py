@@ -178,7 +178,9 @@ def _striped_pair(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return left, right
 
 
-_BOUND_CASES = [(84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2), (84, 8), (224, 8), (200, 2)]
+_BOUND_CASES = [
+    (84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2), (60, 8), (84, 8), (224, 8), (200, 2)
+]
 
 
 @pytest.mark.parametrize("disparities", [1, 129, 256])
@@ -190,8 +192,8 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
     # "mc" at paths * 31 + p2, 255 at 2 paths and p2 = 193.  At 2 paths and
     # p2 = 96 a byte holds both smoothed costs (2 * 127 = 254).  Packed (4
     # paths at 96 and 97, 8 paths, 2 paths at 200), the sum bits must peak
-    # at paths * (31 + p2), 2040 at 8 paths and p2 = 224, and the cost bits
-    # must keep the costs.  With one disparity every residual is 0
+    # at paths * (31 + p2), 2040 at 8 paths and p2 = 224.  With one
+    # disparity every residual is 0
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     left, right = _striped_pair(20, 48)
     params = SgmParams(disparities=disparities, p1=7, p2=p2, paths=paths)
@@ -203,29 +205,18 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
         peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.ndim == 3}
         cells = ex.buffers["mc"]
         if layout == "packed":
-            peaks = {"sum bits": int((cells & ((1 << SUM_BITS) - 1)).max()),
-                     "cost bits": int((cells >> SUM_BITS).max())}
+            peaks = {"sum bits": int((cells & ((1 << SUM_BITS) - 1)).max())}
+            costs = cells >> SUM_BITS
+    if layout == "packed":
+        # every direction adds into "mc"; its cost bits must still hold the
+        # matching costs after the run
+        assert (costs == oracle_matching_cost(oracle_census(left), oracle_census(right), disparities)).all()
     if layout == "fold":
         assert peaks == {"mc": paths * 31 + jump, "cost_sum": (paths - 1) * jump}
     elif layout == "byte":
         assert peaks == {"mc": 31, "cost_sum": paths * (31 + jump)}
     else:
-        assert peaks == {"sum bits": paths * (31 + jump), "cost bits": 31}
-    assert (disp == oracle_pipeline(left, right, params)).all()
-
-
-@pytest.mark.parametrize("p2", [60, 84, 224])
-@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
-def test_packed_cells_keep_their_costs_through_a_run(monkeypatch, threads, p2):
-    # at 8 paths every direction adds into "mc"; its cost bits must still
-    # hold the matching costs after the run
-    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
-    left, right = shifted_pair(23, 17, 3, seed=24)
-    params = SgmParams(disparities=8, p1=7, p2=p2, paths=8)
-    with Executor(left, right, params, threads=threads) as ex:
-        disp = ex.run()
-        costs = ex.buffers["mc"] >> SUM_BITS
-    assert (costs == oracle_matching_cost(oracle_census(left), oracle_census(right), 8)).all()
+        assert peaks == {"sum bits": paths * (31 + jump)}
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
