@@ -1,7 +1,7 @@
-"""End-to-end pipeline orchestration: census features, matching cost,
-path smoothing summed in at most two bytes a cell, winner-takes-all
-selection and median filtering, with optional evaluation against ground
-truth and compute-only benchmarking.
+"""End-to-end pipeline orchestration: census features and matching costs,
+built together one row range at a time, path smoothing summed in at most
+two bytes a cell, winner-takes-all selection and median filtering, with
+optional evaluation against ground truth and compute-only benchmarking.
 
 File I/O happens strictly outside the timed compute region.  Output maps are
 bit-identical across worker counts: every stage is partitioned into tasks
@@ -81,11 +81,11 @@ def _direction_name(direction: Direction) -> str:
 # Stage task functions: module-level so the pool can pickle them by name,
 # first argument is the shared buffer dict.
 
-def _census_task(bufs: Buffers, src: str, dst: str, y0: int, y1: int) -> None:
-    census_rows(bufs[src], bufs[dst], y0, y1)
-
-
 def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
+    # a row's costs read only that row's census words, and the words of any
+    # row range are the same however the rows are cut: no barrier between
+    census_rows(bufs["left"], bufs["census_left"], y0, y1)
+    census_rows(bufs["right"], bufs["census_right"], y0, y1)
     matching_cost_rows(bufs["census_left"], bufs["census_right"], bufs["mc"], y0, y1)
 
 
@@ -209,12 +209,7 @@ class Executor:
             if timings is not None:
                 timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
 
-        census_tasks = [
-            (_census_task, dict(src=src, dst=dst, y0=y0, y1=y1))
-            for src, dst in (("left", "census_left"), ("right", "census_right"))
-            for y0, y1 in rows
-        ]
-        timed("census", census_tasks)
+        # census words and matching costs, one row range per task
         timed("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
         # into the byte volume, the first direction writes every cell and the
         # others add: residuals when folding, else smoothed costs.  Into

@@ -114,7 +114,7 @@ def test_bench_reports_to_stderr_without_changing_output(pair_dir, tmp_path):
     assert plain.returncode == 0 and benched.returncode == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     assert "fps" in benched.stderr
-    for token in ("census", "matching_cost", "aggregate(+1,+0)", "selection", "median"):
+    for token in ("matching_cost", "aggregate(+1,+0)", "selection", "median"):
         assert token in benched.stderr, benched.stderr
     assert benched.stdout == ""  # metrics only with --gt
 

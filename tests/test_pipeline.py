@@ -241,9 +241,9 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
         disp = ex.run()
     assert (disp == serial).all()
     rows = Executor.ROW_TASKS_PER_WORKER * 2
-    # census (two images), cost, every direction (a band of lines per
-    # worker), selection, median
-    assert batches == [2 * rows, rows] + [2] * paths + [rows, rows]
+    # census words and costs (one row range a task), every direction (a
+    # band of lines per worker), selection, median
+    assert batches == [rows] + [2] * paths + [rows, rows]
 
 
 def test_executor_reuse_is_stable():
@@ -308,7 +308,7 @@ def test_benchmark_does_not_change_output(tmp_path):
     assert benched.bench is not None
     assert benched.bench.iterations == 2
     assert set(benched.bench.stage_ms) == {
-        "census", "matching_cost", "aggregate(+1,+0)", "aggregate(+0,+1)",
+        "matching_cost", "aggregate(+1,+0)", "aggregate(+0,+1)",
         "aggregate(-1,+0)", "aggregate(+0,-1)", "selection", "median",
     }
     assert benched.bench.fps > 0
