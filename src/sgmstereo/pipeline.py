@@ -128,6 +128,8 @@ class Executor:
 
     def __init__(self, left: np.ndarray, right: np.ndarray, params: SgmParams,
                  median: bool = True, threads: int = 1):
+        if not isinstance(params, SgmParams):
+            raise ConfigError(f"params must be an SgmParams, got {params!r}")
         threads = as_int("threads", threads)
         if threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
@@ -150,7 +152,6 @@ class Executor:
         self._parallel = self.workers > 1 and fork_available() and cells >= self.MIN_PARALLEL_CELLS
         if not self._parallel:
             self.workers = 1
-        alloc = shared_empty if self._parallel else (lambda shape, dtype: np.empty(shape, dtype))
 
         # S(p, d), the sum over directions of the smoothed costs: in one byte
         # volume where a byte holds it, or there with the last direction
@@ -159,17 +160,17 @@ class Executor:
         packed = self._layout == "packed"
         height, width, disparities = self.height, self.width, params.disparities
         bufs: dict[str, np.ndarray] = {
-            "left": alloc((height, width), np.uint8),
-            "right": alloc((height, width), np.uint8),
-            "census_left": alloc((height, width), np.uint32),
-            "census_right": alloc((height, width), np.uint32),
-            "mc": alloc((height, width, disparities), np.uint16 if packed else np.uint8),
+            "left": shared_empty((height, width), np.uint8),
+            "right": shared_empty((height, width), np.uint8),
+            "census_left": shared_empty((height, width), np.uint32),
+            "census_right": shared_empty((height, width), np.uint32),
+            "mc": shared_empty((height, width, disparities), np.uint16 if packed else np.uint8),
             # disparity indices are below D <= 256: bytes, widened on return
-            "disp_raw": alloc((height, width), np.uint8),
-            "disp_out": alloc((height, width), np.uint8),
+            "disp_raw": shared_empty((height, width), np.uint8),
+            "disp_out": shared_empty((height, width), np.uint8),
         }
         if not packed:
-            bufs["cost_sum"] = alloc((height, width, disparities), np.uint8)
+            bufs["cost_sum"] = shared_empty((height, width, disparities), np.uint8)
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
         self.buffers = bufs
@@ -255,10 +256,12 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run the configured pipeline: load the pair, compute (optionally many
     times for benchmarking), write the disparity map, evaluate if ground
     truth is given."""
-    if config.bench_iters < 0:
-        raise ConfigError(f"bench_iters must be >= 0, got {config.bench_iters}")
-    if config.threshold < 0:
-        raise ConfigError(f"threshold must be >= 0, got {config.threshold}")
+    bench_iters = as_int("bench_iters", config.bench_iters)
+    threshold = as_int("threshold", config.threshold)
+    if bench_iters < 0:
+        raise ConfigError(f"bench_iters must be >= 0, got {bench_iters}")
+    if threshold < 0:
+        raise ConfigError(f"threshold must be >= 0, got {threshold}")
 
     left = read_pgm(config.left)
     right = read_pgm(config.right)
@@ -268,20 +271,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
 
     bench: BenchReport | None = None
     with Executor(left, right, config.params, median=config.median, threads=config.threads) as ex:
-        if config.bench_iters > 0:
+        if bench_iters > 0:
             ex.run()  # untimed warm-up: the first frame pays page faults and cold caches
             timings: dict[str, float] = {}
             t0 = time.perf_counter()
-            for _ in range(config.bench_iters):
+            for _ in range(bench_iters):
                 disparity = ex.run(timings)
             elapsed = time.perf_counter() - t0
-            stage_ms = {name: 1000.0 * sec / config.bench_iters for name, sec in timings.items()}
+            stage_ms = {name: 1000.0 * sec / bench_iters for name, sec in timings.items()}
             bench = BenchReport(
-                iterations=config.bench_iters,
+                iterations=bench_iters,
                 threads=ex.workers,
                 stage_ms=stage_ms,
-                frame_ms=1000.0 * elapsed / config.bench_iters,
-                fps=config.bench_iters / elapsed,
+                frame_ms=1000.0 * elapsed / bench_iters,
+                fps=bench_iters / elapsed,
                 buffer_mb=sum(b.nbytes for b in ex.buffers.values()) / 2**20,
             )
         else:
@@ -290,5 +293,5 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     write_disparity(config.output, disparity)
     evaluation = None
     if gt is not None:
-        evaluation = bad_pixel_rate(disparity, gt, threshold=config.threshold)
+        evaluation = bad_pixel_rate(disparity, gt, threshold=threshold)
     return PipelineResult(disparity=disparity, evaluation=evaluation, bench=bench)

@@ -369,6 +369,29 @@ def test_threads_that_are_not_integers_are_config_errors(monkeypatch, threads):
         compute_disparity(left, right, SgmParams(disparities=4, paths=2), threads=threads)
 
 
+@pytest.mark.parametrize("params", [None, {"disparities": 4, "paths": 2}], ids=["none", "dict"])
+@pytest.mark.parametrize("entry", [compute_disparity, Executor], ids=["compute_disparity", "Executor"])
+def test_params_that_are_not_sgm_params_are_config_errors(entry, params):
+    # both used to raise an AttributeError from deep inside the set-up
+    left, right = shifted_pair(20, 12, 2, seed=22)
+    with pytest.raises(ConfigError, match="params"):
+        entry(left, right, params)
+
+
+@pytest.mark.parametrize("value", [1.5, "2", True], ids=["float", "str", "bool"])
+@pytest.mark.parametrize("name", ["bench_iters", "threshold"])
+def test_run_pipeline_counts_that_are_not_integers_are_config_errors(tmp_path, name, value):
+    # bench_iters=1.5 or "2" used to raise a bare TypeError and True to run
+    # one timed frame; a non-integer threshold passed unchecked, and True
+    # reached the metrics CSV as "True"
+    lp, rp, op = _write_pair(tmp_path)
+    config = PipelineConfig(left=lp, right=rp, output=op, params=SgmParams(disparities=16), threads=1,
+                            **{name: value})
+    with pytest.raises(ConfigError, match=name):
+        run_pipeline(config)
+    assert not op.exists()
+
+
 def test_threads_take_numpy_integers(monkeypatch):
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     left, right = shifted_pair(20, 12, 2, seed=22)
