@@ -107,14 +107,16 @@ class Executor:
     """Holds the buffers and optional worker pool for repeated runs on one
     image pair; reused across benchmark iterations.
 
-    ``buffers`` maps names to the frame's arrays.  How the directions are
-    summed sets the cost cube's layout (see ``params.sum_volumes``).  After
-    ``run()``, ``buffers["mc"]`` holds the matching costs C in bytes, beside
-    a byte volume ``"cost_sum"``; or, where the last direction folds into
-    it, r + paths * C, that direction's residuals plus every path's share
-    of the costs; or, with no sum volume, uint16 packed cells that hold C
-    in their cost bits and, below them, the sum over every direction.  The
-    next ``run()`` rebuilds C first.
+    ``buffers`` maps names to the frame's arrays, all in shared pages
+    (``workers.shared_empty``) whether or not a pool forks.  How the
+    directions are summed sets the cost cube's layout (see
+    ``params.sum_volumes``).  After ``run()``, ``buffers["mc"]`` holds the
+    matching costs C in bytes, beside a byte volume ``"cost_sum"``; or,
+    where the last direction folds into it, r + paths * C, that
+    direction's residuals plus every path's share of the costs; or, with
+    no sum volume, uint16 packed cells that hold C in their cost bits and,
+    below them, the sum over every direction.  The next ``run()`` rebuilds
+    C first.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -244,9 +246,9 @@ def compute_disparity(
 ) -> np.ndarray:
     """Library entry point: disparity map for an in-memory image pair.
 
-    Raises :class:`ConfigError` (a ``ValueError``) unless both images are
-    non-empty 2-d uint8 arrays of the same shape and ``threads`` is an
-    integer >= 1.
+    Raises :class:`ConfigError` (a ``ValueError``) unless ``params`` is an
+    :class:`SgmParams`, both images are non-empty 2-d uint8 arrays of the
+    same shape and ``threads`` is an integer >= 1.
     """
     with Executor(left, right, params, median=median, threads=threads) as ex:
         return ex.run()
@@ -255,7 +257,8 @@ def compute_disparity(
 def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run the configured pipeline: load the pair, compute (optionally many
     times for benchmarking), write the disparity map, evaluate if ground
-    truth is given."""
+    truth is given.  ``bench_iters`` and ``threshold`` must be integers
+    >= 0, else ConfigError."""
     bench_iters = as_int("bench_iters", config.bench_iters)
     threshold = as_int("threshold", config.threshold)
     if bench_iters < 0:
