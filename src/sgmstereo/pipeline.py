@@ -107,16 +107,14 @@ class Executor:
     """Holds the buffers and optional worker pool for repeated runs on one
     image pair; reused across benchmark iterations.
 
-    ``buffers`` maps names to the frame's arrays, all in shared pages
-    (``workers.shared_empty``) whether or not a pool forks.  How the
-    directions are summed sets the cost cube's layout (see
-    ``params.sum_volumes``).  After ``run()``, ``buffers["mc"]`` holds the
-    matching costs C in bytes, beside a byte volume ``"cost_sum"``; or,
-    where the last direction folds into it, r + paths * C, that
-    direction's residuals plus every path's share of the costs; or, with
-    no sum volume, uint16 packed cells that hold C in their cost bits and,
-    below them, the sum over every direction.  The next ``run()`` rebuilds
-    C first.
+    ``buffers`` maps names to the frame's arrays.  How the directions are
+    summed sets the cost cube's layout (see ``params.sum_volumes``).  After
+    ``run()``, ``buffers["mc"]`` holds the matching costs C in bytes, beside
+    a byte volume ``"cost_sum"``; or, where the last direction folds into
+    it, r + paths * C, that direction's residuals plus every path's share
+    of the costs; or, with no sum volume, uint16 packed cells that hold C
+    in their cost bits and, below them, the sum over every direction.  The
+    next ``run()`` rebuilds C first.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -154,6 +152,7 @@ class Executor:
         self._parallel = self.workers > 1 and fork_available() and cells >= self.MIN_PARALLEL_CELLS
         if not self._parallel:
             self.workers = 1
+        alloc = shared_empty if self._parallel else (lambda shape, dtype: np.empty(shape, dtype))
 
         # S(p, d), the sum over directions of the smoothed costs: in one byte
         # volume where a byte holds it, or there with the last direction
@@ -162,17 +161,17 @@ class Executor:
         packed = self._layout == "packed"
         height, width, disparities = self.height, self.width, params.disparities
         bufs: dict[str, np.ndarray] = {
-            "left": shared_empty((height, width), np.uint8),
-            "right": shared_empty((height, width), np.uint8),
-            "census_left": shared_empty((height, width), np.uint32),
-            "census_right": shared_empty((height, width), np.uint32),
-            "mc": shared_empty((height, width, disparities), np.uint16 if packed else np.uint8),
+            "left": alloc((height, width), np.uint8),
+            "right": alloc((height, width), np.uint8),
+            "census_left": alloc((height, width), np.uint32),
+            "census_right": alloc((height, width), np.uint32),
+            "mc": alloc((height, width, disparities), np.uint16 if packed else np.uint8),
             # disparity indices are below D <= 256: bytes, widened on return
-            "disp_raw": shared_empty((height, width), np.uint8),
-            "disp_out": shared_empty((height, width), np.uint8),
+            "disp_raw": alloc((height, width), np.uint8),
+            "disp_out": alloc((height, width), np.uint8),
         }
         if not packed:
-            bufs["cost_sum"] = shared_empty((height, width, disparities), np.uint8)
+            bufs["cost_sum"] = alloc((height, width, disparities), np.uint8)
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
         self.buffers = bufs
