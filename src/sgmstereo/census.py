@@ -33,11 +33,12 @@ def _check_image(image: np.ndarray) -> None:
 
 
 def census_rows(image: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
-    """Fill rows [y0, y1) of ``out`` with census features of ``image``.
+    """Fill the ``(y1 - y0, W)`` slab ``out`` with the census features of
+    rows [y0, y1) of ``image``: ``out[k]`` is the words of row ``y0 + k``.
 
     Neighbour reads outside the image clamp to the nearest edge pixel.
-    Row ranges are independent, so any partition of [0, H) produces output
-    identical to a single full-range call.
+    Row ranges are independent, so the slabs of any partition of [0, H),
+    stacked, are identical to a single full-range call.
     """
     height, width = image.shape
     hy, hx = WINDOW_HALF_Y, WINDOW_HALF_X
@@ -45,13 +46,12 @@ def census_rows(image: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
     top, bottom = max(0, y0 - hy), min(height, y1 + hy)
     padded = np.pad(image[top:bottom], ((top - y0 + hy, y1 + hy - bottom), (hx, hx)), mode="edge")
     rows = y1 - y0
-    feat = out[y0:y1]
-    feat.fill(0)
+    out.fill(0)
     for dx, dy in PAIR_OFFSETS:
         u = padded[hy + dy : hy + dy + rows, hx + dx : hx + dx + width]
         v = padded[hy - dy : hy - dy + rows, hx - dx : hx - dx + width]
-        feat <<= 1
-        feat |= u >= v
+        out <<= 1
+        out |= u >= v
 
 
 def census_transform(image: np.ndarray) -> np.ndarray:

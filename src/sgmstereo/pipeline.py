@@ -11,6 +11,7 @@ partitioning.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -83,10 +84,11 @@ def _direction_name(direction: Direction) -> str:
 
 def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
     # a row's costs read only that row's census words, and the words of any
-    # row range are the same however the rows are cut: no barrier between
-    census_rows(bufs["left"], bufs["census_left"], y0, y1)
-    census_rows(bufs["right"], bufs["census_right"], y0, y1)
-    matching_cost_rows(bufs["census_left"], bufs["census_right"], bufs["mc"], y0, y1)
+    # row range are the same however the rows are cut: no shared planes
+    census = np.empty((2, y1 - y0, bufs["left"].shape[1]), np.uint32)
+    census_rows(bufs["left"], census[0], y0, y1)
+    census_rows(bufs["right"], census[1], y0, y1)
+    matching_cost_rows(*census, bufs["mc"][y0:y1], 0, y1 - y0)
 
 
 def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int,
@@ -104,17 +106,23 @@ def _median_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 
 class Executor:
-    """Holds the buffers and optional worker pool for repeated runs on one
-    image pair; reused across benchmark iterations.
+    """Holds the buffers, the stage list and the optional worker pool for
+    repeated runs on one image pair; reused across benchmark iterations.
 
-    ``buffers`` maps names to the frame's arrays.  How the directions are
-    summed sets the cost cube's layout (see ``params.sum_volumes``).  After
-    ``run()``, ``buffers["mc"]`` holds the matching costs C in bytes, beside
-    a byte volume ``"cost_sum"``; or, where the last direction folds into
-    it, r + paths * C, that direction's residuals plus every path's share
-    of the costs; or, with no sum volume, uint16 packed cells that hold C
-    in their cost bits and, below them, the sum over every direction.  The
-    next ``run()`` rebuilds C first.
+    ``buffers`` holds only what crosses stages: the images ``"left"`` and
+    ``"right"``, the cost cube ``"mc"``, the byte volume ``"cost_sum"``
+    unless the cells are packed, ``"disp_raw"`` and, with the median,
+    ``"disp_out"``.  How the directions are summed sets the cube's layout
+    (see ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the
+    matching costs C in bytes beside the sums in ``"cost_sum"``; or, where
+    the last direction folds into it, that direction's r + paths * C; or
+    uint16 cells that hold C in their cost bits above the sum over every
+    direction.
+
+    The stages are built once, each a name and the tasks that write its
+    disjoint parts: census words and costs, one walk per direction,
+    selection and the median.  ``run()`` runs them in order, so every frame
+    rebuilds C first.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -145,39 +153,64 @@ class Executor:
             raise ConfigError(f"dimension mismatch: left {left.shape} vs right {right.shape}")
         self.params = params
         self.median = median
-        self.height, self.width = left.shape
-        cells = self.height * self.width * params.disparities
+        height, width = left.shape
+        volume = (height, width, params.disparities)
         # processes beyond the host's logical CPUs are pure overhead
         self.workers = min(threads, default_threads())
-        self._parallel = self.workers > 1 and fork_available() and cells >= self.MIN_PARALLEL_CELLS
-        if not self._parallel:
+        parallel = self.workers > 1 and fork_available() and math.prod(volume) >= self.MIN_PARALLEL_CELLS
+        if not parallel:
             self.workers = 1
-        alloc = shared_empty if self._parallel else (lambda shape, dtype: np.empty(shape, dtype))
 
         # S(p, d), the sum over directions of the smoothed costs: in one byte
         # volume where a byte holds it, or there with the last direction
         # folded into "mc", or in the sum bits of "mc"; see params.sum_volumes
-        self._layout = sum_volumes(params.directions, params.p2)
-        packed = self._layout == "packed"
-        height, width, disparities = self.height, self.width, params.disparities
-        bufs: dict[str, np.ndarray] = {
-            "left": alloc((height, width), np.uint8),
-            "right": alloc((height, width), np.uint8),
-            "census_left": alloc((height, width), np.uint32),
-            "census_right": alloc((height, width), np.uint32),
-            "mc": alloc((height, width, disparities), np.uint16 if packed else np.uint8),
+        layout = sum_volumes(params.directions, params.p2)
+        packed, fold = layout == "packed", layout == "fold"
+        frame = (height, width)
+        declared: dict[str, tuple[tuple[int, ...], type]] = {
+            "left": (frame, np.uint8),
+            "right": (frame, np.uint8),
+            "mc": (volume, np.uint16 if packed else np.uint8),
             # disparity indices are below D <= 256: bytes, widened on return
-            "disp_raw": alloc((height, width), np.uint8),
-            "disp_out": alloc((height, width), np.uint8),
+            "disp_raw": (frame, np.uint8),
         }
         if not packed:
-            bufs["cost_sum"] = alloc((height, width, disparities), np.uint8)
+            declared["cost_sum"] = (volume, np.uint8)
+        if median:
+            declared["disp_out"] = (frame, np.uint8)
+        alloc = shared_empty if parallel else np.empty
+        bufs = {name: alloc(shape, dtype) for name, (shape, dtype) in declared.items()}
         np.copyto(bufs["left"], left)
         np.copyto(bufs["right"], right)
         self.buffers = bufs
+
+        # into the byte volume, the first direction writes every cell and the
+        # others add: residuals when folding, else smoothed costs.  Into
+        # packed cells, whose sums start at 0, every direction adds.  When
+        # folding, the last direction turns each walked cost C in "mc" into
+        # r + paths * C.  The tasks of one direction touch disjoint cells
+        directions = params.directions
+        walks = [(d, "mc" if packed else "cost_sum", packed or i > 0, 0 if fold else 1)
+                 for i, d in enumerate(directions)]
+        if fold:
+            walks[-1] = (directions[-1], "mc", False, params.paths)
+        sums = ("mc",) if packed else ("cost_sum", "mc") if fold else ("cost_sum",)
+        rows = split_ranges(height, self.ROW_TASKS_PER_WORKER * self.workers if parallel else 1)
+        # census words and matching costs, one row range per task
+        self._stages: list[tuple[str, list[Task]]] = [
+            ("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])]
+        for direction, dst, add, costs in walks:
+            bands = split_ranges(line_count(height, width, direction), self.workers)
+            self._stages.append((_direction_name(direction), [
+                (_aggregate_task, dict(direction=direction, p1=params.p1, p2=params.p2, lo=lo, hi=hi,
+                                       dst=dst, add=add, costs=costs))
+                for lo, hi in bands]))
+        self._stages.append(("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows]))
+        if median:
+            self._stages.append(("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows]))
+
         # fork only after every shared buffer exists so children inherit them
-        self.pool = ForkPool(self.workers, bufs) if self._parallel else None
-        self._row_chunks = self.ROW_TASKS_PER_WORKER * self.workers if self._parallel else 1
+        self.pool = ForkPool(self.workers, bufs) if parallel else None
 
     def close(self) -> None:
         if self.pool is not None:
@@ -190,50 +223,15 @@ class Executor:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _aggregation_tasks(self, direction: Direction, dst: str, add: bool, costs: int) -> list[Task]:
-        p1, p2 = self.params.p1, self.params.p2
-        lines = line_count(self.height, self.width, direction)
-        return [
-            (_aggregate_task, dict(direction=direction, p1=p1, p2=p2, lo=lo, hi=hi, dst=dst, add=add,
-                                   costs=costs))
-            for lo, hi in split_ranges(lines, self.workers)
-        ]
-
     def run(self, timings: dict[str, float] | None = None) -> np.ndarray:
         """One full compute pass; returns the disparity map as a new int32
         array."""
-        bufs = self.buffers
-        rows = split_ranges(self.height, self._row_chunks)
-
-        def timed(name: str, tasks: list[Task]) -> None:
+        for name, tasks in self._stages:
             t0 = time.perf_counter()
-            run_tasks(self.pool, bufs, tasks)
+            run_tasks(self.pool, self.buffers, tasks)
             if timings is not None:
                 timings[name] = timings.get(name, 0.0) + time.perf_counter() - t0
-
-        # census words and matching costs, one row range per task
-        timed("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-        # into the byte volume, the first direction writes every cell and the
-        # others add: residuals when folding, else smoothed costs.  Into
-        # packed cells, whose sums start at 0, every direction adds.  The
-        # tasks of one direction touch disjoint cells
-        directions = self.params.directions
-        fold, packed = self._layout == "fold", self._layout == "packed"
-        dst = "mc" if packed else "cost_sum"
-        for i, direction in enumerate(directions[:-1] if fold else directions):
-            tasks = self._aggregation_tasks(direction, dst, packed or i > 0, 0 if fold else 1)
-            timed(_direction_name(direction), tasks)
-        sums = ("mc",) if packed else ("cost_sum",)
-        if fold:
-            # the last direction turns each walked cost C into r + paths * C
-            last = directions[-1]
-            timed(_direction_name(last), self._aggregation_tasks(last, "mc", False, self.params.paths))
-            sums += ("mc",)
-        timed("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows])
-        if self.median:
-            timed("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])
-            return bufs["disp_out"].astype(np.int32)
-        return bufs["disp_raw"].astype(np.int32)
+        return self.buffers["disp_out" if self.median else "disp_raw"].astype(np.int32)
 
 
 def compute_disparity(

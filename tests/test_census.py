@@ -74,10 +74,13 @@ def test_row_chunks_match_single_call():
     rng = np.random.default_rng(0)
     img = rng.integers(0, 256, (13, 17), np.uint8)
     whole = census_transform(img)
-    chunked = np.empty_like(whole)
+    # each call fills a (y1 - y0, W) slab; the slabs of a partition, stacked,
+    # are the single call's words
+    slabs = []
     for y0, y1 in ((0, 4), (4, 5), (5, 13)):
-        census_rows(img, chunked, y0, y1)
-    assert (chunked == whole).all()
+        slabs.append(np.full((y1 - y0, 17), 0xFFFF_FFFF, np.uint32))
+        census_rows(img, slabs[-1], y0, y1)
+    assert (np.concatenate(slabs) == whole).all()
 
 
 def test_rejects_bad_input():

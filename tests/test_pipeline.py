@@ -154,16 +154,23 @@ def _layout(paths: int, p2: int) -> str:
 
 
 def test_every_setting_holds_at_most_two_bytes_a_cell():
+    # buffers hold only what crosses stages: no census planes, and the
+    # filtered map only when the median runs; every layout meets both
     left, right = shifted_pair(20, 12, 2, seed=17)
     for paths in (2, 4, 8):
         for p2 in range(2, 225):
-            with Executor(left, right, SgmParams(disparities=8, p1=1, p2=p2, paths=paths)) as ex:
+            median = p2 % 2 == 0
+            params = SgmParams(disparities=8, p1=1, p2=p2, paths=paths)
+            with Executor(left, right, params, median=median) as ex:
+                names = set(ex.buffers)
                 volumes = {name: b.dtype for name, b in ex.buffers.items() if b.ndim == 3}
                 assert all(b.shape == (12, 20, 8) for b in ex.buffers.values() if b.ndim == 3)
+            planes = {"left", "right", "disp_raw"} | ({"disp_out"} if median else set())
             if _layout(paths, p2) == "packed":
                 assert volumes == {"mc": np.uint16}, (paths, p2)
             else:
                 assert volumes == {"mc": np.uint8, "cost_sum": np.uint8}, (paths, p2)
+            assert names == planes | set(volumes), (paths, p2, median)
 
 
 def _striped_pair(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,7 +227,7 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
-@pytest.mark.parametrize("paths", [4, 8])
+@pytest.mark.parametrize("paths", [2, 4, 8])
 def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths):
     if not fork_available() or (os.cpu_count() or 1) < 2:
         pytest.skip("needs fork and two CPUs for a pool")
@@ -236,14 +243,18 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
         return original(pool, buffers, tasks)
 
     monkeypatch.setattr(pipeline, "run_tasks", recording_run_tasks)
+    timings = {}
     with Executor(left, right, params, threads=2) as ex:
         assert ex.pool is not None
-        disp = ex.run()
-    assert (disp == serial).all()
+        frames = [ex.run(timings) for _ in range(2)]
+    assert all((disp == serial).all() for disp in frames)
     rows = Executor.ROW_TASKS_PER_WORKER * 2
     # census words and costs (one row range a task), every direction (a
-    # band of lines per worker), selection, median
-    assert batches == [rows] + [2] * paths + [rows, rows]
+    # band of lines per worker), selection, median; the same every frame,
+    # whichever layout the paths pick (byte, fold, packed)
+    assert batches == 2 * ([rows] + [2] * paths + [rows, rows])
+    directions = [pipeline._direction_name(d) for d in params.directions]
+    assert list(timings) == ["matching_cost", *directions, "selection", "median"]
 
 
 def test_executor_reuse_is_stable():
