@@ -75,6 +75,19 @@ class PipelineResult:
     bench: BenchReport | None = None
 
 
+def available_memory() -> int | None:
+    """Bytes of memory the kernel reports as available to new allocations
+    (``MemAvailable`` in /proc/meminfo), or None where that cannot be read."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) * 1024
+    except OSError:
+        pass
+    return None
+
+
 def _direction_name(direction: Direction) -> str:
     return f"aggregate({direction[0]:+d},{direction[1]:+d})"
 
@@ -122,7 +135,8 @@ class Executor:
     The stages are built once, each a name and the tasks that write its
     disjoint parts: census words and costs, one walk per direction,
     selection and the median.  ``run()`` runs them in order, so every frame
-    rebuilds C first.
+    rebuilds C first.  Buffers that would not fit in the memory the host
+    reports as available raise ``ConfigError`` before any allocation.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -178,6 +192,11 @@ class Executor:
             declared["cost_sum"] = (volume, np.uint8)
         if median:
             declared["disp_out"] = (frame, np.uint8)
+        needed = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in declared.values())
+        available = available_memory()
+        if available is not None and needed > available:
+            raise ConfigError(f"the frame's buffers need {needed / 2**20:.1f} MiB, but only "
+                              f"{available / 2**20:.1f} MiB of memory is available")
         alloc = shared_empty if parallel else np.empty
         bufs = {name: alloc(shape, dtype) for name, (shape, dtype) in declared.items()}
         np.copyto(bufs["left"], left)

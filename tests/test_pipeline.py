@@ -16,7 +16,7 @@ from sgmstereo import (
     write_disparity,
     write_pgm,
 )
-from sgmstereo import pipeline
+from sgmstereo import cli, pipeline
 from sgmstereo.oracle import oracle_census, oracle_matching_cost, oracle_pipeline
 from sgmstereo.params import SUM_BITS
 from sgmstereo.pipeline import Executor
@@ -255,6 +255,53 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
     assert batches == 2 * ([rows] + [2] * paths + [rows, rows])
     directions = [pipeline._direction_name(d) for d in params.directions]
     assert list(timings) == ["matching_cost", *directions, "selection", "median"]
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise AssertionError(f"a buffer was allocated: {args}")
+
+
+def _refuse_every_allocation(monkeypatch):
+    monkeypatch.setattr(np, "empty", _refuse_allocation)
+    monkeypatch.setattr(pipeline, "shared_empty", _refuse_allocation)
+    monkeypatch.setattr(pipeline, "ForkPool", _refuse_allocation)
+
+
+def test_a_frame_that_cannot_fit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
+    # a broadcast 480x640 view allocates nothing; at D = 128 and 8 paths the
+    # frame declares a uint16 cube and four byte planes, 76.17 MiB
+    frame = np.broadcast_to(np.uint8(0), (480, 640))
+    params = SgmParams(disparities=128, paths=8)
+    needed = 2 * 480 * 640 * 128 + 4 * 480 * 640
+    _refuse_every_allocation(monkeypatch)
+    monkeypatch.setattr(pipeline, "available_memory", lambda: 64 * 2**20)
+    errors = []
+    for threads in (1, 2):
+        with pytest.raises(ConfigError, match=r"need 76\.2 MiB, but only 64\.0 MiB") as info:
+            Executor(frame, frame, params, threads=threads)
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    # exactly enough memory passes the check and reaches the first allocation
+    monkeypatch.setattr(pipeline, "available_memory", lambda: needed)
+    with pytest.raises(AssertionError, match="a buffer was allocated"):
+        Executor(frame, frame, params)
+    monkeypatch.undo()
+    monkeypatch.setattr(pipeline, "available_memory", lambda: 0)
+    lp, rp, op = _write_pair(tmp_path)
+    assert cli.run(["--left", str(lp), "--right", str(rp), "--output", str(op), "--threads", "2"]) == 2
+    assert "MiB of memory is available" in capsys.readouterr().err
+    assert not op.exists()
+
+
+def test_an_oversized_frame_fails_against_the_real_memory_probe(monkeypatch):
+    if pipeline.available_memory() is None:
+        pytest.skip("the host reports no available memory")
+    # about 18.8 TiB of buffers, declared by a view that allocates nothing
+    frame = np.broadcast_to(np.uint8(0), (200_000, 200_000))
+    _refuse_every_allocation(monkeypatch)
+    for threads in (1, 2):
+        with pytest.raises(ConfigError, match="MiB of memory is available"):
+            Executor(frame, frame, SgmParams(disparities=256, paths=8), threads=threads)
 
 
 def test_executor_reuse_is_stable():
