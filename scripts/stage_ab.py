@@ -50,7 +50,6 @@ def main() -> None:
     parser.add_argument("--paths", type=int, default=4)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=16)
-    parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -58,7 +57,7 @@ def main() -> None:
         modules = {side: load_tree(src, f"sgm_{side}", Path(tmp))
                    for side, src in zip(SIDES, (args.old, args.new))}
         left, right = importlib.import_module("sgm_new.synthetic").shifted_pair(
-            args.width, args.height, args.disparities // 4, seed=args.seed)
+            args.width, args.height, args.disparities // 4)
         executors = {}
         try:
             for side, (pipeline, params) in modules.items():

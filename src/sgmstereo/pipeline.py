@@ -135,8 +135,12 @@ class Executor:
     The stages are built once, each a name and the tasks that write its
     disjoint parts: census words and costs, one walk per direction,
     selection and the median.  ``run()`` runs them in order, so every frame
-    rebuilds C first.  Buffers that would not fit in the memory the host
-    reports as available raise ``ConfigError`` before any allocation.
+    rebuilds C first.  Buffers that would not fit, with the census words a
+    frame's cost tasks build, in the memory the host reports as available
+    (``MemAvailable``) raise ``ConfigError`` before any allocation.  Not
+    counted: the cost tasks' block scratch, at most 1 MiB or one row's
+    4 * W * D bytes a task, and a container's cgroup memory limit, which
+    ``MemAvailable`` does not reflect.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -192,11 +196,14 @@ class Executor:
             declared["cost_sum"] = (volume, np.uint8)
         if median:
             declared["disp_out"] = (frame, np.uint8)
+        # plus the census words of the rows in flight: one frame's at most,
+        # the whole frame's serially, and as much for any thread count
         needed = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in declared.values())
+        needed += 2 * 4 * height * width
         available = available_memory()
         if available is not None and needed > available:
-            raise ConfigError(f"the frame's buffers need {needed / 2**20:.1f} MiB, but only "
-                              f"{available / 2**20:.1f} MiB of memory is available")
+            raise ConfigError(f"the frame's buffers and census words need {needed / 2**20:.1f} MiB, "
+                              f"but only {available / 2**20:.1f} MiB of memory is available")
         alloc = shared_empty if parallel else np.empty
         bufs = {name: alloc(shape, dtype) for name, (shape, dtype) in declared.items()}
         np.copyto(bufs["left"], left)

@@ -269,18 +269,22 @@ def _refuse_every_allocation(monkeypatch):
 
 def test_a_frame_that_cannot_fit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
     # a broadcast 480x640 view allocates nothing; at D = 128 and 8 paths the
-    # frame declares a uint16 cube and four byte planes, 76.17 MiB
+    # frame declares a uint16 cube and four byte planes, 76.17 MiB, and its
+    # cost tasks build one frame's census words, 2.34 MiB
     frame = np.broadcast_to(np.uint8(0), (480, 640))
     params = SgmParams(disparities=128, paths=8)
-    needed = 2 * 480 * 640 * 128 + 4 * 480 * 640
+    declared = 2 * 480 * 640 * 128 + 4 * 480 * 640
+    needed = declared + 2 * 4 * 480 * 640
     _refuse_every_allocation(monkeypatch)
-    monkeypatch.setattr(pipeline, "available_memory", lambda: 64 * 2**20)
     errors = []
-    for threads in (1, 2):
-        with pytest.raises(ConfigError, match=r"need 76\.2 MiB, but only 64\.0 MiB") as info:
-            Executor(frame, frame, params, threads=threads)
-        errors.append(str(info.value))
-    assert errors[0] == errors[1]
+    for available in (64 * 2**20, declared):
+        monkeypatch.setattr(pipeline, "available_memory", lambda: available)
+        for threads in (1, 2):
+            with pytest.raises(ConfigError, match=r"need 78\.5 MiB, but only") as info:
+                Executor(frame, frame, params, threads=threads)
+            errors.append(str(info.value))
+    assert errors[0] == errors[1] and "only 64.0 MiB" in errors[0]
+    assert errors[2] == errors[3] and "only 76.2 MiB" in errors[2]
     # exactly enough memory passes the check and reaches the first allocation
     monkeypatch.setattr(pipeline, "available_memory", lambda: needed)
     with pytest.raises(AssertionError, match="a buffer was allocated"):
