@@ -6,9 +6,10 @@ its own name (``sgm_old``, ``sgm_new``), so both import side by side and
 pooled tasks pickle by their own module path.  One reused ``Executor`` per
 side runs a warm-up frame, then ``--rounds`` timed frames; the side that
 runs first alternates every round.  Every map must be identical on both
-sides.  Printed per stage and for the whole frame: the median and the
-quartiles in ms of each side, and in how many rounds the new side was
-faster.
+sides.  Printed per stage, for the walks (every ``aggregate…`` stage of a
+frame, so trees that cut their walks into different stages compare) and
+for the whole frame: the median and the quartiles in ms of each side, and
+in how many rounds the new side was faster.
 
     python scripts/stage_ab.py old/src src --width 320 --height 240 \\
         --disparities 32 --paths 2 --threads 1 --rounds 150
@@ -73,6 +74,7 @@ def main() -> None:
                     t0 = time.perf_counter()
                     disp = executors[side].run(timings)
                     timings["frame"] = time.perf_counter() - t0
+                    timings["walks"] = sum(sec for name, sec in timings.items() if name.startswith("aggregate"))
                     if not (disp == expected).all():
                         raise SystemExit(f"stage_ab: the {side} map differs in round {k}")
                     for name, sec in timings.items():
@@ -85,13 +87,14 @@ def main() -> None:
     print(f"stage_ab: {args.width}x{args.height} D={args.disparities} paths={args.paths} "
           f"threads={args.threads} (workers old {workers['old']}, new {workers['new']}) "
           f"rounds={args.rounds}, maps identical")
-    print(f"{'stage':<18s} {'old median [quartiles] ms':>28s} {'new median [quartiles] ms':>28s}  new faster")
     names = list(stages["old"]) + [name for name in stages["new"] if name not in stages["old"]]
-    for name in sorted(names, key=lambda name: name == "frame"):
+    width = max(map(len, names))
+    print(f"{'stage':<{width}s} {'old median [quartiles] ms':>28s} {'new median [quartiles] ms':>28s}  new faster")
+    for name in sorted(names, key=lambda name: {"walks": 1, "frame": 2}.get(name, 0)):
         old, new = stages["old"].get(name), stages["new"].get(name)
         cells = [quartiles(times) if times else "-" for times in (old, new)]
         faster = f"{sum(n < o for o, n in zip(old, new))}/{len(old)}" if old and new else "-"
-        print(f"{name:<18s} {cells[0]:>28s} {cells[1]:>28s}  {faster}")
+        print(f"{name:<{width}s} {cells[0]:>28s} {cells[1]:>28s}  {faster}")
 
 
 if __name__ == "__main__":

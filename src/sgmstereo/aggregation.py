@@ -28,7 +28,12 @@ capped before p1 is added, and no intermediate exceeds p2 <= 224.
 
 Lines are mutually independent: the lines of a direction are relaxed
 together as one vectorised front, and any range of them can be processed by
-an independent worker with bit-identical results.
+an independent worker with bit-identical results.  Steps are not, but the
+state is all a walk carries from one step to the next: a walk can stop after
+any step and resume from the state it left, over the remaining steps, again
+with bit-identical results.  Each step's row of cells belongs to that step
+alone, so a direction and its opposite can walk disjoint step ranges at
+once: the first half of each direction's walk order, then the second.
 """
 
 from __future__ import annotations
@@ -108,25 +113,46 @@ def line_count(height: int, width: int, direction: Direction) -> int:
     return height if ry == 0 else width + abs(rx) * (height - 1)
 
 
+def step_count(height: int, width: int, direction: Direction) -> int:
+    """Number of rows a direction's walk steps over: the columns W for
+    horizontal, else the rows H."""
+    return width if direction[1] == 0 else height
+
+
+def walks_up(direction: Direction) -> bool:
+    """Whether a direction walks its rows from 0 up, else from the last
+    down."""
+    rx, ry = direction
+    return (rx if ry == 0 else ry) > 0
+
+
 def _walk(
     mc: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int, smoothed: bool = False,
+    steps: tuple[int, int] | None = None, state: np.ndarray | None = None,
 ) -> Iterator[tuple[tuple[slice, slice], np.ndarray]]:
-    """Walk the lines [lo, hi) of ``direction``, yielding ``(index, block)``:
-    the residuals L - C of the cells ``mc[index]``, or with ``smoothed``
-    their smoothed costs L, in ``mc``'s orientation.  ``mc`` is a byte cube
-    or a uint16 cube of packed cells.  The block buffer is reused by the
-    next yield, so consumers must copy or fold it before advancing.  The
-    walk reads no cost of ``mc[index]`` after yielding it, so a consumer may
-    also overwrite those cells.
+    """Walk the lines [lo, hi) of ``direction`` over the rows ``steps``
+    (default: all), yielding ``(index, block)``: the residuals L - C of the
+    cells ``mc[index]``, or with ``smoothed`` their smoothed costs L, in
+    ``mc``'s orientation.  ``mc`` is a byte cube or a uint16 cube of packed
+    cells.  The block buffer is reused by the next yield, so consumers must
+    copy or fold it before advancing.  The walk reads no cost of
+    ``mc[index]`` after yielding it, so a consumer may also overwrite those
+    cells.
 
     Every direction walks down the rows of a (rows, cols, D) view: ``mc``,
     or for a horizontal direction its transpose.  A diagonal line moves
     shear = rx * ry columns per row: line k crosses row r at column
     k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo
-    of ``state``, which holds the smoothed costs of the line's last cell.
-    The slots whose lines cross a row form a window that slides by at most
-    one slot per row, and each slot enters it once, still zero.  Each step
-    relaxes the window in place, emits it, and adds the row's costs in.
+    of ``state``, which holds the smoothed costs of the line's last cell:
+    zeros by default, or the caller's contiguous (hi - lo, D) byte block,
+    which the walk continues from and leaves holding the smoothed costs of
+    the last cells it walked.  The slots whose lines cross a row form a
+    window that slides by at most one slot per row, and each slot enters it
+    once, still zero unless an earlier walk of the same lines left it a
+    state.  Each step relaxes the window in place, emits it, and adds the
+    row's costs in.  So a walk over the rows [s0, s1), in its own order,
+    followed by one over the rest from the state it left, equals one walk
+    over all rows, and every walked row has each of its cells walked once.
 
     An unsheared walk relaxes a block of rows (512 KiB) per yield; a
     sheared window moves every row, so a diagonal yields one row at a time.
@@ -142,12 +168,14 @@ def _walk(
     step, shear = (rx, 0) if transposed else (ry, rx * ry)
     rows, cols, disparities = view.shape
     offset = rows - 1 if shear > 0 else 0
+    s0, s1 = (0, rows) if steps is None else steps
     front = hi - lo
-    if front == 0:
+    if front == 0 or s0 >= s1:
         return
-    state = np.zeros((front, disparities), np.uint8)
+    if state is None:
+        state = np.zeros((front, disparities), np.uint8)
     s = _Scratch(min(front, cols), disparities, p1, p2)
-    block = 1 if shear else max(1, min(rows, _BLOCK_BYTES // (front * disparities)))
+    block = 1 if shear else max(1, min(s1 - s0, _BLOCK_BYTES // (front * disparities)))
 
     def block_buffer() -> np.ndarray:
         if transposed:
@@ -157,9 +185,9 @@ def _walk(
     packed = mc.dtype == np.uint16
     fronts = block_buffer()
     costs = block_buffer() if transposed or packed else None
-    starts = range(0, rows, block)
+    starts = range(s0, s1, block)
     for r0 in starts if step > 0 else reversed(starts):
-        r1 = min(r0 + block, rows)
+        r1 = min(r0 + block, s1)
         c0 = lo + shear * r0 - offset  # column of slot 0 in row r0
         a, b = max(0, -c0), min(front, cols - c0)
         if a >= b:
@@ -203,6 +231,7 @@ def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
 def aggregate_lines(
     mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int,
     lo: int = 0, hi: int | None = None, add: bool = False, costs: int = 1,
+    steps: tuple[int, int] | None = None, state: np.ndarray | None = None,
 ) -> None:
     """Aggregate the lines [lo, hi) of one direction, writing r + costs * C
     into ``out`` or, with ``add``, adding it: by default the smoothed costs
@@ -212,10 +241,15 @@ def aggregate_lines(
     for horizontal, columns for vertical, and x - rx * ry * y shifted to
     start at 0 for a diagonal.  Every selected line is a complete path, so
     chunked and single-call execution agree bit for bit, and an empty range
-    writes nothing.  ``out`` may be wider than uint8, and it may be ``mc``
-    itself, whose walked costs then become r + costs * C.  Above
-    ``costs=1`` that sum is formed in bytes, so it must stay <= 255, and it
-    cannot be added.  A uint16 ``mc`` holds packed cells (see
+    writes nothing.  ``steps=(s0, s1)`` walks only the rows [s0, s1) of the
+    walk (``step_count`` of them; columns for a horizontal direction), and
+    ``state``, a contiguous (hi - lo, D) byte block, carries the lines'
+    smoothed costs from one call to the next (see ``_walk``): zeros, then
+    one call per step range in the direction's walk order (``walks_up``),
+    equal one call over every row.  ``out`` may be wider than uint8, and it
+    may be ``mc`` itself, whose walked costs then become r + costs * C.
+    Above ``costs=1`` that sum is formed in bytes, so it must stay <= 255,
+    and it cannot be added.  A uint16 ``mc`` holds packed cells (see
     params.SUM_BITS), and adding into ``mc`` itself adds into their sum
     bits, as the pipeline does for every direction.
     """
@@ -223,7 +257,7 @@ def aggregate_lines(
         raise ValueError(f"add takes costs 0 or 1, got {costs}")
     if hi is None:
         hi = line_count(mc.shape[0], mc.shape[1], direction)
-    for index, block in _walk(mc, direction, p1, p2, lo, hi, smoothed=costs == 1):
+    for index, block in _walk(mc, direction, p1, p2, lo, hi, costs == 1, steps, state):
         if add or costs > 1:
             part = out[index]
             if costs > 1:

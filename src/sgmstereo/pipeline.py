@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import aggregate_lines, line_count
+from .aggregation import aggregate_lines, line_count, step_count, walks_up
 from .census import census_rows
 from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
@@ -88,8 +88,12 @@ def available_memory() -> int | None:
     return None
 
 
-def _direction_name(direction: Direction) -> str:
-    return f"aggregate({direction[0]:+d},{direction[1]:+d})"
+def _direction_name(*directions: Direction) -> str:
+    return "aggregate" + "&".join(f"({rx:+d},{ry:+d})" for rx, ry in directions)
+
+
+def _opposite(direction: Direction) -> Direction:
+    return (-direction[0], -direction[1])
 
 
 # Stage task functions: module-level so the pool can pickle them by name,
@@ -105,8 +109,16 @@ def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 
 def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int,
-                    dst: str, add: bool, costs: int) -> None:
-    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add, costs)
+                    dst: str, add: bool, costs: int, steps: tuple[int, int] | None = None,
+                    slot: int | None = None, zero: bool = False) -> None:
+    # a half-walk carries its lines' state in its slot of "walk_state" from
+    # the first half to the second; the first half starts it at zero
+    state = None
+    if slot is not None:
+        state = bufs["walk_state"][slot, lo:hi]
+        if zero:
+            state.fill(0)
+    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add, costs, steps, state)
 
 
 def _select_task(bufs: Buffers, sums: tuple[str, ...], y0: int, y1: int) -> None:
@@ -124,19 +136,27 @@ class Executor:
 
     ``buffers`` holds only what crosses stages: the images ``"left"`` and
     ``"right"``, the cost cube ``"mc"``, the byte volume ``"cost_sum"``
-    unless the cells are packed, ``"disp_raw"`` and, with the median,
-    ``"disp_out"``.  How the directions are summed sets the cube's layout
-    (see ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the
-    matching costs C in bytes beside the sums in ``"cost_sum"``; or, where
-    the last direction folds into it, that direction's r + paths * C; or
-    uint16 cells that hold C in their cost bits above the sum over every
+    unless the cells are packed, ``"disp_raw"``, with the median
+    ``"disp_out"`` and, in a pool that pairs directions, ``"walk_state"``.
+    How the directions are summed sets the cube's layout (see
+    ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the matching
+    costs C in bytes beside the sums in ``"cost_sum"``; or, where the last
+    direction folds into it, that direction's r + paths * C; or uint16
+    cells that hold C in their cost bits above the sum over every
     direction.
 
     The stages are built once, each a name and the tasks that write its
-    disjoint parts: census words and costs, one walk per direction,
-    selection and the median.  ``run()`` runs them in order, so every frame
-    rebuilds C first.  Buffers that would not fit, with the census words a
-    frame's cost tasks build, in the memory the host reports as available
+    disjoint parts: census words and costs, the walks, selection and the
+    median.  A serial executor walks each direction in one task.  A pool
+    cuts a direction into one band of lines per worker, except where it
+    pairs opposite directions: then each pair runs two stages of two
+    half-walks, a whole front over half the steps each (``workers // 2``
+    bands of lines each with more than 2 workers), so a worker pays each
+    step's fixed numpy cost once per front rather than once per band.  The
+    fold's last direction and its opposite stay unpaired.  ``run()`` runs
+    the stages in order, so every frame rebuilds C first.  Buffers that
+    would not fit, with the census words a frame's cost tasks build and the
+    paired walks' state, in the memory the host reports as available
     (``MemAvailable``) raise ``ConfigError`` before any allocation.  Not
     counted: the cost tasks' block scratch, at most 1 MiB or one row's
     4 * W * D bytes a task, and a container's cgroup memory limit, which
@@ -196,10 +216,22 @@ class Executor:
             declared["cost_sum"] = (volume, np.uint8)
         if median:
             declared["disp_out"] = (frame, np.uint8)
-        # plus the census words of the rows in flight: one frame's at most,
-        # the whole frame's serially, and as much for any thread count
+        # opposite directions pair up, but not the fold's last direction,
+        # which overwrites the costs its opposite reads, nor that opposite
+        directions = params.directions
+        unpaired = {directions[-1], _opposite(directions[-1])} if fold else set()
+        pairs = {d: _opposite(d) for i, d in enumerate(directions)
+                 if _opposite(d) in directions[i + 1:] and d not in unpaired}
+        # a pooled pair's two half-walks keep their lines' state between
+        # phases, a slot each, as long as the pairs' longest front
+        state = (2, max((line_count(height, width, d) for d in pairs), default=0), params.disparities)
+        # plus the census words of the rows in flight (one frame's at most,
+        # the whole frame's serially) and the walk state: counted for any
+        # thread count, so every thread count needs the same memory
         needed = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in declared.values())
-        needed += 2 * 4 * height * width
+        needed += 2 * 4 * height * width + math.prod(state)
+        if parallel and pairs:
+            declared["walk_state"] = (state, np.uint8)
         available = available_memory()
         if available is not None and needed > available:
             raise ConfigError(f"the frame's buffers and census words need {needed / 2**20:.1f} MiB, "
@@ -214,8 +246,7 @@ class Executor:
         # others add: residuals when folding, else smoothed costs.  Into
         # packed cells, whose sums start at 0, every direction adds.  When
         # folding, the last direction turns each walked cost C in "mc" into
-        # r + paths * C.  The tasks of one direction touch disjoint cells
-        directions = params.directions
+        # r + paths * C.  The tasks of one stage touch disjoint cells
         walks = [(d, "mc" if packed else "cost_sum", packed or i > 0, 0 if fold else 1)
                  for i, d in enumerate(directions)]
         if fold:
@@ -226,11 +257,29 @@ class Executor:
         self._stages: list[tuple[str, list[Task]]] = [
             ("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])]
         for direction, dst, add, costs in walks:
-            bands = split_ranges(line_count(height, width, direction), self.workers)
-            self._stages.append((_direction_name(direction), [
-                (_aggregate_task, dict(direction=direction, p1=params.p1, p2=params.p2, lo=lo, hi=hi,
-                                       dst=dst, add=add, costs=costs))
-                for lo, hi in bands]))
+            walk = dict(p1=params.p1, p2=params.p2, dst=dst, costs=costs)
+            lines = line_count(height, width, direction)
+            paired = parallel and (direction in pairs or direction in pairs.values())
+            if not paired:
+                self._stages.append((_direction_name(direction), [
+                    (_aggregate_task, dict(walk, direction=direction, lo=lo, hi=hi, add=add))
+                    for lo, hi in split_ranges(lines, self.workers)]))
+            elif direction in pairs:
+                # each worker walks a whole front over half the steps: in
+                # phase 1 the direction's first half and its opposite's,
+                # which meet in the middle; in phase 2 the other halves,
+                # each continuing from its slot's state.  A pair that walks
+                # the sum's first direction writes in phase 1, then adds
+                opposite, n = pairs[direction], step_count(height, width, direction)
+                halves = [(0, n // 2), (n // 2, n)]
+                if not walks_up(direction):
+                    halves.reverse()
+                bands = split_ranges(lines, self.workers // 2)
+                for phase in (0, 1):
+                    self._stages.append((f"{_direction_name(direction, opposite)} {phase + 1}/2", [
+                        (_aggregate_task, dict(walk, direction=d, lo=lo, hi=hi, add=add or phase > 0,
+                                               steps=halves[phase ^ slot], slot=slot, zero=phase == 0))
+                        for slot, d in enumerate((direction, opposite)) for lo, hi in bands]))
         self._stages.append(("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows]))
         if median:
             self._stages.append(("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows]))

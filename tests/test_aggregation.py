@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from sgmstereo import PATH_SETS, SgmParams, aggregate_all, aggregate_path, matching_cost
 from sgmstereo import aggregation
-from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines, line_count
+from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines, line_count, step_count, walks_up
 from sgmstereo.oracle import oracle_sgm
 from sgmstereo.params import SUM_BITS
 
@@ -268,6 +268,40 @@ def test_residual_walk_blocks_match_scalar_oracle(monkeypatch, block_bytes):
 def _fold_factor(p2: int) -> int:
     """The largest k for which r + k * C stays a byte for Hamming costs."""
     return (255 - p2) // 31
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_walks_split_at_a_step_continue_from_their_state(monkeypatch, block_bytes):
+    # a walk stopped after any step and resumed over the other steps from
+    # the state it left equals one whole call: split after no step, the
+    # first, all but the last and every step (so one half is empty), over
+    # all lines and over two bands of lines with a state each.  Byte cubes
+    # write each costs; packed cells add into their own sum bits, as the
+    # pipeline's walks do
+    monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(12)
+    mc = rng.integers(0, 32, (5, 7, 4), np.uint8)
+    p1, p2 = 3, 40
+    fold = _fold_factor(p2)
+    for direction in ALL_DIRECTIONS:
+        rows = step_count(*mc.shape[:2], direction)
+        lines = line_count(*mc.shape[:2], direction)
+        cases = [(mc, dict(costs=k)) for k in (0, 1, fold)]
+        cases += [(mc.astype(np.uint16) << SUM_BITS, dict(costs=k, add=True)) for k in (0, 1)]
+        for cube, kwargs in cases:
+            whole = cube.copy() if kwargs.get("add") else np.zeros_like(cube)
+            aggregate_lines(whole if kwargs.get("add") else cube, whole, direction, p1, p2, **kwargs)
+            for cut in sorted({0, 1, rows - 1, rows}):
+                halves = [(0, cut), (cut, rows)] if walks_up(direction) else [(cut, rows), (0, cut)]
+                for bands in ([(0, lines)], [(0, lines // 2), (lines // 2, lines)]):
+                    split = cube.copy() if kwargs.get("add") else np.zeros_like(cube)
+                    for lo, hi in bands:
+                        state = np.zeros((hi - lo, mc.shape[2]), np.uint8)
+                        for steps in halves:
+                            aggregate_lines(split if kwargs.get("add") else cube, split, direction, p1, p2,
+                                            lo, hi, steps=steps, state=state, **kwargs)
+                    assert (split == whole).all(), (direction, kwargs, cut, bands)
+
 
 
 @given(hamming_volumes(), st.sampled_from(ALL_DIRECTIONS), st.data())

@@ -209,7 +209,8 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
     with Executor(left, right, params, threads=threads) as ex:
         assert (ex.pool is not None) == (threads == 2 and _pool_expected())
         disp = ex.run()
-        peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.ndim == 3}
+        # the volumes; a pool that pairs directions also holds "walk_state"
+        peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.shape == (20, 48, disparities)}
         cells = ex.buffers["mc"]
         if layout == "packed":
             peaks = {"sum bits": int((cells & ((1 << SUM_BITS) - 1)).max())}
@@ -249,12 +250,81 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
         frames = [ex.run(timings) for _ in range(2)]
     assert all((disp == serial).all() for disp in frames)
     rows = Executor.ROW_TASKS_PER_WORKER * 2
-    # census words and costs (one row range a task), every direction (a
-    # band of lines per worker), selection, median; the same every frame,
-    # whichever layout the paths pick (byte, fold, packed)
+    # census words and costs (one row range a task), the walks (a band of
+    # lines per worker, or a paired phase of two half-walks), selection,
+    # median; the same every frame, whichever layout the paths pick (byte,
+    # fold, packed)
     assert batches == 2 * ([rows] + [2] * paths + [rows, rows])
-    directions = [pipeline._direction_name(d) for d in params.directions]
-    assert list(timings) == ["matching_cost", *directions, "selection", "median"]
+    walks = {
+        # 2 paths have no opposites
+        2: ["aggregate(+1,+0)", "aggregate(+0,+1)"],
+        # the fold's last direction and its opposite stay unpaired
+        4: ["aggregate(+1,+0)&(-1,+0) 1/2", "aggregate(+1,+0)&(-1,+0) 2/2",
+            "aggregate(+0,+1)", "aggregate(+0,-1)"],
+        8: [f"aggregate{pair} {phase}/2"
+            for pair in ("(+1,+0)&(-1,+0)", "(+0,+1)&(+0,-1)", "(+1,+1)&(-1,-1)", "(-1,+1)&(+1,-1)")
+            for phase in (1, 2)],
+    }
+    assert list(timings) == ["matching_cost", *walks[paths], "selection", "median"]
+
+
+def _walked_cells(height: int, width: int, kwargs: dict) -> np.ndarray:
+    """The cells one walk task writes, as a (height, width) mask: the cells
+    of its lines [lo, hi) in its steps, numbered as ``aggregate_lines``
+    numbers them (rows for horizontal, columns for vertical, and
+    x - rx * ry * y from 0 for a diagonal), here from each cell's
+    coordinates."""
+    rx, ry = kwargs["direction"]
+    y, x = np.mgrid[:height, :width]
+    if ry == 0:
+        line, step = y, x
+    else:
+        shear = rx * ry
+        line, step = x - shear * y + (height - 1 if shear > 0 else 0), y
+    s0, s1 = kwargs.get("steps") or (0, width if ry == 0 else height)
+    return (kwargs["lo"] <= line) & (line < kwargs["hi"]) & (s0 <= step) & (step < s1)
+
+
+# byte sum (4 paths, p2 <= 32), fold (4, 84) with its last direction and
+# that one's opposite unpaired, packed (8, 84), and 2 paths, which have no
+# opposites; with the pairs each layout makes
+_PAIR_CASES = [(4, 30, 2), (4, 84, 1), (8, 84, 4), (2, 200, 0)]
+
+
+@pytest.mark.parametrize("disparities", [1, 5])
+@pytest.mark.parametrize(("paths", "p2", "pairs"), _PAIR_CASES,
+                         ids=["byte", "fold", "packed", "unpaired-packed"])
+@pytest.mark.parametrize(("width", "height"), [(23, 17), (17, 23)])
+@pytest.mark.parametrize("threads", [2, 4])
+def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p2, pairs, disparities):
+    # odd frames cut every walk into unequal halves.  In each phase of a
+    # pair the half-walks write disjoint cells, together every cell once,
+    # and the two phases walk every cell once in each direction.  4 workers
+    # cut each half-walk into 2 bands of lines
+    if not _pool_expected():
+        pytest.skip("needs fork and two CPUs for a pool")
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    monkeypatch.setattr(pipeline, "default_threads", lambda: threads)
+    left, right = shifted_pair(width, height, 2, seed=20)
+    params = SgmParams(disparities=disparities, p1=5, p2=p2, paths=paths)
+    serial = compute_disparity(left, right, params)
+    with Executor(left, right, params, threads=threads) as ex:
+        assert ex.workers == threads
+        disp = ex.run()
+        stages = [(name, tasks) for name, tasks in ex._stages if name.startswith("aggregate")]
+    assert (disp == serial).all()
+    assert (disp == oracle_pipeline(left, right, params)).all()
+    paired = [(name, tasks) for name, tasks in stages if "&" in name]
+    assert len(paired) == 2 * pairs and len(stages) == paths
+    walked = {}
+    for name, tasks in paired:
+        assert len(tasks) == 2 * (threads // 2), name
+        cells = [_walked_cells(height, width, kwargs) for _, kwargs in tasks]
+        assert (sum(cells) == 1).all(), name
+        for (_, kwargs), mask in zip(tasks, cells):
+            walked[kwargs["direction"]] = walked.get(kwargs["direction"], 0) + mask
+    assert len(walked) == 2 * pairs
+    assert all((count == 1).all() for count in walked.values())
 
 
 def _refuse_allocation(*args, **kwargs):
@@ -269,22 +339,25 @@ def _refuse_every_allocation(monkeypatch):
 
 def test_a_frame_that_cannot_fit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
     # a broadcast 480x640 view allocates nothing; at D = 128 and 8 paths the
-    # frame declares a uint16 cube and four byte planes, 76.17 MiB, and its
-    # cost tasks build one frame's census words, 2.34 MiB
+    # frame declares a uint16 cube and four byte planes, 76.17 MiB, its
+    # cost tasks build one frame's census words, 2.34 MiB, and a pool's
+    # paired walks keep two 1119-line diagonal fronts of state, 0.27 MiB,
+    # counted serially too
     frame = np.broadcast_to(np.uint8(0), (480, 640))
     params = SgmParams(disparities=128, paths=8)
     declared = 2 * 480 * 640 * 128 + 4 * 480 * 640
-    needed = declared + 2 * 4 * 480 * 640
+    needed = declared + 2 * 4 * 480 * 640 + 2 * 1119 * 128
     _refuse_every_allocation(monkeypatch)
     errors = []
-    for available in (64 * 2**20, declared):
+    for available in (64 * 2**20, declared, needed - 1):
         monkeypatch.setattr(pipeline, "available_memory", lambda: available)
         for threads in (1, 2):
-            with pytest.raises(ConfigError, match=r"need 78\.5 MiB, but only") as info:
+            with pytest.raises(ConfigError, match=r"need 78\.8 MiB, but only") as info:
                 Executor(frame, frame, params, threads=threads)
             errors.append(str(info.value))
     assert errors[0] == errors[1] and "only 64.0 MiB" in errors[0]
     assert errors[2] == errors[3] and "only 76.2 MiB" in errors[2]
+    assert errors[4] == errors[5] and "only 78.8 MiB" in errors[4]
     # exactly enough memory passes the check and reaches the first allocation
     monkeypatch.setattr(pipeline, "available_memory", lambda: needed)
     with pytest.raises(AssertionError, match="a buffer was allocated"):
