@@ -152,7 +152,8 @@ def _walk(
     state.  Each step relaxes the window in place, emits it, and adds the
     row's costs in.  So a walk over the rows [s0, s1), in its own order,
     followed by one over the rest from the state it left, equals one walk
-    over all rows, and every walked row has each of its cells walked once.
+    over all rows; and a walk over all lines walks each cell of its rows
+    once.
 
     An unsheared walk relaxes a block of rows (512 KiB) per yield; a
     sheared window moves every row, so a diagonal yields one row at a time.

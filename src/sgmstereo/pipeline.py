@@ -62,7 +62,8 @@ class BenchReport:
     def lines(self) -> list[str]:
         out = [f"bench: iterations={self.iterations} threads={self.threads}"]
         for name, ms in self.stage_ms.items():
-            out.append(f"stage {name:<18s} mean {ms:8.3f} ms")
+            # a pooled pair's phases read "aggregate(+1,+0)&(-1,+0) 1/2"
+            out.append(f"stage {name:<28s} mean {ms:8.3f} ms")
         out.append(f"end-to-end {self.frame_ms:.3f} ms/frame, {self.fps:.2f} fps, "
                    f"buffers {self.buffer_mb:.2f} MiB")
         return out

@@ -289,16 +289,17 @@ def test_walks_split_at_a_step_continue_from_their_state(monkeypatch, block_byte
         cases = [(mc, dict(costs=k)) for k in (0, 1, fold)]
         cases += [(mc.astype(np.uint16) << SUM_BITS, dict(costs=k, add=True)) for k in (0, 1)]
         for cube, kwargs in cases:
-            whole = cube.copy() if kwargs.get("add") else np.zeros_like(cube)
-            aggregate_lines(whole if kwargs.get("add") else cube, whole, direction, p1, p2, **kwargs)
+            in_place = kwargs.get("add", False)
+            whole = cube.copy() if in_place else np.zeros_like(cube)
+            aggregate_lines(whole if in_place else cube, whole, direction, p1, p2, **kwargs)
             for cut in sorted({0, 1, rows - 1, rows}):
                 halves = [(0, cut), (cut, rows)] if walks_up(direction) else [(cut, rows), (0, cut)]
                 for bands in ([(0, lines)], [(0, lines // 2), (lines // 2, lines)]):
-                    split = cube.copy() if kwargs.get("add") else np.zeros_like(cube)
+                    split = cube.copy() if in_place else np.zeros_like(cube)
                     for lo, hi in bands:
                         state = np.zeros((hi - lo, mc.shape[2]), np.uint8)
                         for steps in halves:
-                            aggregate_lines(split if kwargs.get("add") else cube, split, direction, p1, p2,
+                            aggregate_lines(split if in_place else cube, split, direction, p1, p2,
                                             lo, hi, steps=steps, state=state, **kwargs)
                     assert (split == whole).all(), (direction, kwargs, cut, bands)
 
