@@ -74,7 +74,8 @@ def main() -> None:
                     t0 = time.perf_counter()
                     disp = executors[side].run(timings)
                     timings["frame"] = time.perf_counter() - t0
-                    timings["walks"] = sum(sec for name, sec in timings.items() if name.startswith("aggregate"))
+                    timings["walks"] = sum(sec for name, sec in timings.items()
+                                           if name.startswith("aggregate"))
                     if not (disp == expected).all():
                         raise SystemExit(f"stage_ab: the {side} map differs in round {k}")
                     for name, sec in timings.items():
@@ -89,7 +90,8 @@ def main() -> None:
           f"rounds={args.rounds}, maps identical")
     names = list(stages["old"]) + [name for name in stages["new"] if name not in stages["old"]]
     width = max(map(len, names))
-    print(f"{'stage':<{width}s} {'old median [quartiles] ms':>28s} {'new median [quartiles] ms':>28s}  new faster")
+    print(f"{'stage':<{width}s} {'old median [quartiles] ms':>28s} "
+          f"{'new median [quartiles] ms':>28s}  new faster")
     for name in sorted(names, key=lambda name: {"walks": 1, "frame": 2}.get(name, 0)):
         old, new = stages["old"].get(name), stages["new"].get(name)
         cells = [quartiles(times) if times else "-" for times in (old, new)]

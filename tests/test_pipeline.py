@@ -296,7 +296,8 @@ _PAIR_CASES = [(4, 30, 2), (4, 84, 1), (8, 84, 4), (2, 200, 0)]
                          ids=["byte", "fold", "packed", "unpaired-packed"])
 @pytest.mark.parametrize(("width", "height"), [(23, 17), (17, 23)])
 @pytest.mark.parametrize("threads", [2, 4])
-def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p2, pairs, disparities):
+def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p2, pairs,
+                                           disparities):
     # odd frames cut every walk into unequal halves.  In each phase of a
     # pair the half-walks write disjoint cells, together every cell once,
     # and the two phases walk every cell once in each direction.  4 workers
