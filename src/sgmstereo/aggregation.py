@@ -145,10 +145,12 @@ def _walk(
     k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo
     of ``state``, which holds the smoothed costs of the line's last cell:
     zeros by default, or the caller's contiguous (hi - lo, D) byte block,
-    which the walk continues from and leaves holding the smoothed costs of
-    the last cells it walked.  The slots whose lines cross a row form a
-    window that slides by at most one slot per row, and each slot enters it
-    once, still zero unless an earlier walk of the same lines left it a
+    which the walk leaves holding the smoothed costs of the last cells it
+    walked.  A non-empty range that starts the walk (row 0 walking up, the
+    last row walking down) zeroes that block first, whatever it holds; any
+    other range continues from it.  The slots whose lines cross a row form
+    a window that slides by at most one slot per row, and each slot enters
+    it once, still zero unless an earlier walk of the same lines left it a
     state.  Each step relaxes the window in place, emits it, and adds the
     row's costs in.  So a walk over the rows [s0, s1), in its own order,
     followed by one over the rest from the state it left, equals one walk
@@ -175,6 +177,8 @@ def _walk(
         return
     if state is None:
         state = np.zeros((front, disparities), np.uint8)
+    elif (s0 == 0) if step > 0 else (s1 == rows):
+        state.fill(0)  # the range starts the walk, whatever the state holds
     s = _Scratch(min(front, cols), disparities, p1, p2)
     block = 1 if shear else max(1, min(s1 - s0, _BLOCK_BYTES // (front * disparities)))
 
@@ -245,14 +249,15 @@ def aggregate_lines(
     writes nothing.  ``steps=(s0, s1)`` walks only the rows [s0, s1) of the
     walk (``step_count`` of them; columns for a horizontal direction), and
     ``state``, a contiguous (hi - lo, D) byte block, carries the lines'
-    smoothed costs from one call to the next (see ``_walk``): zeros, then
-    one call per step range in the direction's walk order (``walks_up``),
-    equal one call over every row.  ``out`` may be wider than uint8, and it
-    may be ``mc`` itself, whose walked costs then become r + costs * C.
-    Above ``costs=1`` that sum is formed in bytes, so it must stay <= 255,
-    and it cannot be added.  A uint16 ``mc`` holds packed cells (see
-    params.SUM_BITS), and adding into ``mc`` itself adds into their sum
-    bits, as the pipeline does for every direction.
+    smoothed costs from one call to the next (see ``_walk``): one call per
+    step range in the direction's walk order (``walks_up``) equals one call
+    over every row.  The call whose range starts the walk zeroes the state
+    first, so the state may hold anything before it.  ``out`` may be wider
+    than uint8, and it may be ``mc`` itself, whose walked costs then become
+    r + costs * C.  Above ``costs=1`` that sum is formed in bytes, so it
+    must stay <= 255, and it cannot be added.  A uint16 ``mc`` holds packed
+    cells (see params.SUM_BITS), and adding into ``mc`` itself adds into
+    their sum bits, as the pipeline does for every direction.
     """
     if add and costs > 1:
         raise ValueError(f"add takes costs 0 or 1, got {costs}")

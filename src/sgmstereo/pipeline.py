@@ -62,7 +62,7 @@ class BenchReport:
     def lines(self) -> list[str]:
         out = [f"bench: iterations={self.iterations} threads={self.threads}"]
         for name, ms in self.stage_ms.items():
-            # a pooled pair's phases read "aggregate(+1,+0)&(-1,+0) 1/2"
+            # a pair's phases read "aggregate(+1,+0)&(-1,+0) 1/2"
             out.append(f"stage {name:<28s} mean {ms:8.3f} ms")
         out.append(f"end-to-end {self.frame_ms:.3f} ms/frame, {self.fps:.2f} fps, "
                    f"buffers {self.buffer_mb:.2f} MiB")
@@ -111,14 +111,10 @@ def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int,
                     dst: str, add: bool, costs: int, steps: tuple[int, int] | None = None,
-                    slot: int | None = None, zero: bool = False) -> None:
+                    slot: int | None = None) -> None:
     # a half-walk carries its lines' state in its slot of "walk_state" from
-    # the first half to the second; the first half starts it at zero
-    state = None
-    if slot is not None:
-        state = bufs["walk_state"][slot, lo:hi]
-        if zero:
-            state.fill(0)
+    # the first half to the second; the walk zeroes it where it starts
+    state = None if slot is None else bufs["walk_state"][slot, lo:hi]
     aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add, costs, steps, state)
 
 
@@ -138,7 +134,7 @@ class Executor:
     ``buffers`` holds only what crosses stages: the images ``"left"`` and
     ``"right"``, the cost cube ``"mc"``, the byte volume ``"cost_sum"``
     unless the cells are packed, ``"disp_raw"``, with the median
-    ``"disp_out"`` and, in a pool that pairs directions, ``"walk_state"``.
+    ``"disp_out"`` and, where the layout pairs directions, ``"walk_state"``.
     How the directions are summed sets the cube's layout (see
     ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the matching
     costs C in bytes beside the sums in ``"cost_sum"``; or, where the last
@@ -148,16 +144,17 @@ class Executor:
 
     The stages are built once, each a name and the tasks that write its
     disjoint parts: census words and costs, the walks, selection and the
-    median.  A serial executor walks each direction in one task.  A pool
-    cuts a direction into one band of lines per worker, except where it
-    pairs opposite directions: then each pair runs two stages of two
-    half-walks, a whole front over half the steps each (``workers // 2``
-    bands of lines each with more than 2 workers), so a worker pays each
-    step's fixed numpy cost once per front rather than once per band.  The
-    fold's last direction and its opposite stay unpaired.  ``run()`` runs
-    the stages in order, so every frame rebuilds C first.  Buffers that
-    would not fit, with the census words a frame's cost tasks build and the
-    paired walks' state, in the memory the host reports as available
+    median.  Every executor builds the same stage list.  Opposite
+    directions pair up, except the fold's last direction and its opposite:
+    each pair runs two stages of two half-walks, a whole front over half
+    the steps each, so a walk pays each step's fixed numpy cost once per
+    front.  A direction left unpaired is one stage.  A pool changes only
+    the tasks: it cuts the row stages into ``ROW_TASKS_PER_WORKER`` tasks
+    per worker, an unpaired direction into one band of lines per worker
+    and, with more than 2 workers, each half-walk into ``workers // 2``
+    bands.  ``run()`` runs the stages in order, so every frame rebuilds C
+    first.  Buffers that would not fit, with the census words a frame's
+    cost tasks build, in the memory the host reports as available
     (``MemAvailable``) raise ``ConfigError`` before any allocation.  Not
     counted: the cost tasks' block scratch, at most 1 MiB or one row's
     4 * W * D bytes a task, and a container's cgroup memory limit, which
@@ -223,16 +220,16 @@ class Executor:
         unpaired = {directions[-1], _opposite(directions[-1])} if fold else set()
         pairs = {d: _opposite(d) for i, d in enumerate(directions)
                  if _opposite(d) in directions[i + 1:] and d not in unpaired}
-        # a pooled pair's two half-walks keep their lines' state between
-        # phases, a slot each, as long as the pairs' longest front
-        state = (2, max((line_count(height, width, d) for d in pairs), default=0), params.disparities)
+        # a pair's two half-walks keep their lines' state between phases, a
+        # slot each, as long as the pairs' longest front
+        if pairs:
+            front = max(line_count(height, width, d) for d in pairs)
+            declared["walk_state"] = ((2, front, params.disparities), np.uint8)
         # plus the census words of the rows in flight (one frame's at most,
-        # the whole frame's serially) and the walk state: counted for any
-        # thread count, so every thread count needs the same memory
+        # the whole frame's serially): counted for any thread count, so
+        # every thread count needs the same memory
         needed = sum(math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in declared.values())
-        needed += 2 * 4 * height * width + math.prod(state)
-        if parallel and pairs:
-            declared["walk_state"] = (state, np.uint8)
+        needed += 2 * 4 * height * width
         available = available_memory()
         if available is not None and needed > available:
             raise ConfigError(f"the frame's buffers and census words need {needed / 2**20:.1f} MiB, "
@@ -260,13 +257,13 @@ class Executor:
         for direction, dst, add, costs in walks:
             walk = dict(p1=params.p1, p2=params.p2, dst=dst, costs=costs)
             lines = line_count(height, width, direction)
-            paired = parallel and (direction in pairs or direction in pairs.values())
-            if not paired:
+            if direction not in pairs and direction not in pairs.values():
                 self._stages.append((_direction_name(direction), [
                     (_aggregate_task, dict(walk, direction=direction, lo=lo, hi=hi, add=add))
                     for lo, hi in split_ranges(lines, self.workers)]))
             elif direction in pairs:
-                # each worker walks a whole front over half the steps: in
+                # a half-walk covers the whole front over half the steps
+                # (in one band per two workers, one band serially): in
                 # phase 1 the direction's first half and its opposite's,
                 # which meet in the middle; in phase 2 the other halves,
                 # each continuing from its slot's state.  A pair that walks
@@ -279,7 +276,7 @@ class Executor:
                 for phase in (0, 1):
                     self._stages.append((f"{_direction_name(direction, opposite)} {phase + 1}/2", [
                         (_aggregate_task, dict(walk, direction=d, lo=lo, hi=hi, add=add or phase > 0,
-                                               steps=halves[phase ^ slot], slot=slot, zero=phase == 0))
+                                               steps=halves[phase ^ slot], slot=slot))
                         for slot, d in enumerate((direction, opposite)) for lo, hi in bands]))
         self._stages.append(("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows]))
         if median:

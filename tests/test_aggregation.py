@@ -275,8 +275,11 @@ def test_walks_split_at_a_step_continue_from_their_state(monkeypatch, block_byte
     # a walk stopped after any step and resumed over the other steps from
     # the state it left equals one whole call: split after no step, the
     # first, all but the last and every step (so one half is empty), over
-    # all lines and over two bands of lines with a state each.  Byte cubes
-    # write each costs; packed cells add into their own sum bits, as the
+    # all lines and over two bands of lines with a state each.  The range
+    # that starts the walk starts from zeros, whatever the state held
+    # before: zeros, or random bytes (a constant such as 255 would not
+    # show it, since any constant line relaxes to zeros).  Byte cubes write
+    # each costs; packed cells add into their own sum bits, as the
     # pipeline's walks do
     monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(12)
@@ -295,13 +298,16 @@ def test_walks_split_at_a_step_continue_from_their_state(monkeypatch, block_byte
             for cut in sorted({0, 1, rows - 1, rows}):
                 halves = [(0, cut), (cut, rows)] if walks_up(direction) else [(cut, rows), (0, cut)]
                 for bands in ([(0, lines)], [(0, lines // 2), (lines // 2, lines)]):
-                    split = cube.copy() if in_place else np.zeros_like(cube)
-                    for lo, hi in bands:
-                        state = np.zeros((hi - lo, mc.shape[2]), np.uint8)
-                        for steps in halves:
-                            aggregate_lines(split if in_place else cube, split, direction, p1, p2,
-                                            lo, hi, steps=steps, state=state, **kwargs)
-                    assert (split == whole).all(), (direction, kwargs, cut, bands)
+                    for garbage in (False, True):
+                        split = cube.copy() if in_place else np.zeros_like(cube)
+                        for lo, hi in bands:
+                            state = np.zeros((hi - lo, mc.shape[2]), np.uint8)
+                            if garbage:
+                                state[:] = rng.integers(0, 256, state.shape)
+                            for steps in halves:
+                                aggregate_lines(split if in_place else cube, split, direction, p1, p2,
+                                                lo, hi, steps=steps, state=state, **kwargs)
+                        assert (split == whole).all(), (direction, kwargs, cut, bands, garbage)
 
 
 

@@ -9,7 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgmstereo import load_disparity, shifted_pair, write_disparity, write_pgm
+from sgmstereo import (
+    PipelineConfig,
+    SgmParams,
+    load_disparity,
+    run_pipeline,
+    shifted_pair,
+    write_disparity,
+    write_pgm,
+)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -128,14 +136,27 @@ def _bench_buffer_mb(stderr: str) -> float:
 def test_bench_reports_no_more_buffer_mib_at_8_paths_than_at_4(pair_dir, tmp_path):
     # at the default p2 the 4-path Executor holds the cost cube and one byte
     # volume (the last direction folds into the cube), and 8 paths one cube
-    # of packed uint16 cells: two bytes a cell either way
-    reported = {}
+    # of packed uint16 cells: two bytes a cell either way.  Both also hold
+    # their paired walks' state, two slots of the longest paired front: the
+    # 26 rows of the fold's one pair, (+1,0) and (-1,0), at 4 paths, and the
+    # 61 lines of a diagonal at 8.  The printed MiB round those 832 and
+    # 1952 bytes away, so the claim is held in bytes, on the report the CLI
+    # prints
+    height, width, disparities = 26, 36, 16
+    state = {4: 2 * height * disparities, 8: 2 * (width + height - 1) * disparities}
+    held = {}
     for paths in (4, 8):
-        proc = run_cli(*base_args(pair_dir)[:4], "--output", tmp_path / f"p{paths}.pgm",
-                       "--disparities", 16, "--paths", paths, "--threads", 1, "--bench", 1)
+        out = tmp_path / f"p{paths}.pgm"
+        proc = run_cli(*base_args(pair_dir)[:4], "--output", out,
+                       "--disparities", disparities, "--paths", paths, "--threads", 1, "--bench", 1)
         assert proc.returncode == 0, proc.stderr
-        reported[paths] = _bench_buffer_mb(proc.stderr)
-    assert 0 < reported[8] <= reported[4]
+        config = PipelineConfig(left=pair_dir / "left.pgm", right=pair_dir / "right.pgm", output=out,
+                                params=SgmParams(disparities=disparities, paths=paths), threads=1,
+                                bench_iters=1)
+        buffer_mb = run_pipeline(config).bench.buffer_mb
+        assert _bench_buffer_mb(proc.stderr) == float(f"{buffer_mb:.2f}"), proc.stderr
+        held[paths] = buffer_mb * 2**20 - state[paths]
+    assert 0 < held[8] <= held[4]
 
 
 def test_thread_counts_produce_identical_files(pair_dir, tmp_path):
@@ -183,3 +204,16 @@ def test_documented_sweep_runs_on_a_generated_pair(tmp_path):
         assert "bench: iterations=1" in proc.stderr
         fields = proc.stdout.strip().split(",")
         assert len(fields) == 10 and fields[3] == str(paths), proc.stdout
+
+
+def test_stage_ab_runs_a_tree_against_itself(tmp_path):
+    # the per-stage A/B script, with this src on both sides at a small frame
+    script = Path(__file__).resolve().parent.parent / "scripts" / "stage_ab.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), SRC, SRC, "--width", "40", "--height", "30",
+         "--disparities", "16", "--paths", "4", "--rounds", "2"],
+        capture_output=True, text=True, cwd=tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "maps identical" in proc.stdout, proc.stdout
+    assert any(line.split()[:1] == ["walks"] for line in proc.stdout.splitlines()), proc.stdout

@@ -155,18 +155,30 @@ def _layout(paths: int, p2: int) -> str:
 
 def test_every_setting_holds_at_most_two_bytes_a_cell():
     # buffers hold only what crosses stages: no census planes, and the
-    # filtered map only when the median runs; every layout meets both
+    # filtered map only when the median runs; every layout meets both.
+    # Where directions pair, their half-walks keep a byte state of the
+    # pairs' longest front, two slots of it: the 31 lines of a diagonal at
+    # 8 paths, at 4 paths the 20 of a vertical direction, or the 12 of the
+    # horizontal pair, which is the fold's only one; 2 paths have no pairs
     left, right = shifted_pair(20, 12, 2, seed=17)
     for paths in (2, 4, 8):
         for p2 in range(2, 225):
             median = p2 % 2 == 0
+            layout = _layout(paths, p2)
             params = SgmParams(disparities=8, p1=1, p2=p2, paths=paths)
             with Executor(left, right, params, median=median) as ex:
-                names = set(ex.buffers)
-                volumes = {name: b.dtype for name, b in ex.buffers.items() if b.ndim == 3}
-                assert all(b.shape == (12, 20, 8) for b in ex.buffers.values() if b.ndim == 3)
+                buffers = dict(ex.buffers)
+                state = buffers.pop("walk_state", None)
+                names = set(buffers)
+                volumes = {name: b.dtype for name, b in buffers.items() if b.ndim == 3}
+                assert all(b.shape == (12, 20, 8) for b in buffers.values() if b.ndim == 3)
+            front = {2: None, 4: 12 if layout == "fold" else 20, 8: 31}[paths]
+            if front is None:
+                assert state is None, (paths, p2)
+            else:
+                assert state.shape == (2, front, 8) and state.dtype == np.uint8, (paths, p2)
             planes = {"left", "right", "disp_raw"} | ({"disp_out"} if median else set())
-            if _layout(paths, p2) == "packed":
+            if layout == "packed":
                 assert volumes == {"mc": np.uint16}, (paths, p2)
             else:
                 assert volumes == {"mc": np.uint8, "cost_sum": np.uint8}, (paths, p2)
@@ -209,7 +221,7 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
     with Executor(left, right, params, threads=threads) as ex:
         assert (ex.pool is not None) == (threads == 2 and _pool_expected())
         disp = ex.run()
-        # the volumes; a pool that pairs directions also holds "walk_state"
+        # the volumes; where directions pair, "walk_state" is there too
         peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.shape == (20, 48, disparities)}
         cells = ex.buffers["mc"]
         if layout == "packed":
@@ -266,6 +278,11 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
             for phase in (1, 2)],
     }
     assert list(timings) == ["matching_cost", *walks[paths], "selection", "median"]
+    # a serial executor builds the same stages, with one task per row stage
+    with Executor(left, right, params, threads=1) as ex:
+        assert ex.pool is None
+        assert [name for name, _ in ex._stages] == list(timings)
+        assert all(len(tasks) == 1 for name, tasks in ex._stages if "&" not in name)
 
 
 def _walked_cells(height: int, width: int, kwargs: dict) -> np.ndarray:
@@ -295,23 +312,28 @@ _PAIR_CASES = [(4, 30, 2), (4, 84, 1), (8, 84, 4), (2, 200, 0)]
 @pytest.mark.parametrize(("paths", "p2", "pairs"), _PAIR_CASES,
                          ids=["byte", "fold", "packed", "unpaired-packed"])
 @pytest.mark.parametrize(("width", "height"), [(23, 17), (17, 23)])
-@pytest.mark.parametrize("threads", [2, 4])
+@pytest.mark.parametrize("threads", [1, 2, 4])
 def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p2, pairs,
                                            disparities):
     # odd frames cut every walk into unequal halves.  In each phase of a
     # pair the half-walks write disjoint cells, together every cell once,
     # and the two phases walk every cell once in each direction.  4 workers
-    # cut each half-walk into 2 bands of lines
-    if not _pool_expected():
+    # cut each half-walk into 2 bands of lines; a serial executor walks the
+    # same phases, a whole front a half-walk, in the pool's stage list
+    if threads > 1 and not _pool_expected():
         pytest.skip("needs fork and two CPUs for a pool")
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     monkeypatch.setattr(pipeline, "default_threads", lambda: threads)
     left, right = shifted_pair(width, height, 2, seed=20)
     params = SgmParams(disparities=disparities, p1=5, p2=p2, paths=paths)
-    serial = compute_disparity(left, right, params)
+    with Executor(left, right, params) as ex:
+        serial = ex.run()
+        serial_names = [name for name, _ in ex._stages]
     with Executor(left, right, params, threads=threads) as ex:
         assert ex.workers == threads
+        assert (ex.pool is not None) == (threads > 1)
         disp = ex.run()
+        assert [name for name, _ in ex._stages] == serial_names
         stages = [(name, tasks) for name, tasks in ex._stages if name.startswith("aggregate")]
     assert (disp == serial).all()
     assert (disp == oracle_pipeline(left, right, params)).all()
@@ -319,7 +341,7 @@ def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, 
     assert len(paired) == 2 * pairs and len(stages) == paths
     walked = {}
     for name, tasks in paired:
-        assert len(tasks) == 2 * (threads // 2), name
+        assert len(tasks) == 2 * max(1, threads // 2), name
         cells = [_walked_cells(height, width, kwargs) for _, kwargs in tasks]
         assert (sum(cells) == 1).all(), name
         for (_, kwargs), mask in zip(tasks, cells):
@@ -340,10 +362,9 @@ def _refuse_every_allocation(monkeypatch):
 
 def test_a_frame_that_cannot_fit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
     # a broadcast 480x640 view allocates nothing; at D = 128 and 8 paths the
-    # frame declares a uint16 cube and four byte planes, 76.17 MiB, its
-    # cost tasks build one frame's census words, 2.34 MiB, and a pool's
-    # paired walks keep two 1119-line diagonal fronts of state, 0.27 MiB,
-    # counted serially too
+    # frame declares a uint16 cube and four byte planes, 76.17 MiB, and the
+    # paired walks' state, two 1119-line diagonal fronts, 0.27 MiB, at any
+    # thread count; its cost tasks build one frame's census words, 2.34 MiB
     frame = np.broadcast_to(np.uint8(0), (480, 640))
     params = SgmParams(disparities=128, paths=8)
     declared = 2 * 480 * 640 * 128 + 4 * 480 * 640
@@ -443,10 +464,11 @@ def test_benchmark_does_not_change_output(tmp_path):
     )
     assert benched.bench is not None
     assert benched.bench.iterations == 2
-    assert set(benched.bench.stage_ms) == {
-        "matching_cost", "aggregate(+1,+0)", "aggregate(+0,+1)",
-        "aggregate(-1,+0)", "aggregate(+0,-1)", "selection", "median",
-    }
+    # the fold's last direction and its opposite stay unpaired
+    assert list(benched.bench.stage_ms) == [
+        "matching_cost", "aggregate(+1,+0)&(-1,+0) 1/2", "aggregate(+1,+0)&(-1,+0) 2/2",
+        "aggregate(+0,+1)", "aggregate(+0,-1)", "selection", "median",
+    ]
     assert benched.bench.fps > 0
     assert (benched.disparity == plain.disparity).all()
 
