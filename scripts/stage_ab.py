@@ -6,10 +6,11 @@ its own name (``sgm_old``, ``sgm_new``), so both import side by side and
 pooled tasks pickle by their own module path.  One reused ``Executor`` per
 side runs a warm-up frame, then ``--rounds`` timed frames; the side that
 runs first alternates every round.  Every map must be identical on both
-sides.  Printed per stage, for the walks (every ``aggregate…`` stage of a
-frame, so trees that cut their walks into different stages compare) and
-for the whole frame: the median and the quartiles in ms of each side, and
-in how many rounds the new side was faster.
+sides.  Printed per stage in frame order, then for the walks (every
+``aggregate…`` stage of a frame, so trees that cut their walks into
+different stages compare) and for the whole frame: the median and the
+quartiles in ms of each side, and in how many rounds the new side was
+faster.
 
     python scripts/stage_ab.py old/src src --width 320 --height 240 \\
         --disparities 32 --paths 2 --threads 1 --rounds 150
@@ -88,11 +89,16 @@ def main() -> None:
     print(f"stage_ab: {args.width}x{args.height} D={args.disparities} paths={args.paths} "
           f"threads={args.threads} (workers old {workers['old']}, new {workers['new']}) "
           f"rounds={args.rounds}, maps identical")
-    names = list(stages["old"]) + [name for name in stages["new"] if name not in stages["old"]]
-    width = max(map(len, names))
+    # frame order: a stage at its position in its own tree's list (the later
+    # of the two where both trees run it), then the walks and the frame
+    position: dict[str, int] = {}
+    for side in SIDES:
+        for i, name in enumerate(stages[side]):
+            position[name] = max(i, position.get(name, i))
+    width = max(map(len, position))
     print(f"{'stage':<{width}s} {'old median [quartiles] ms':>28s} "
           f"{'new median [quartiles] ms':>28s}  new faster")
-    for name in sorted(names, key=lambda name: {"walks": 1, "frame": 2}.get(name, 0)):
+    for name in sorted(position, key=lambda name: ({"walks": 1, "frame": 2}.get(name, 0), position[name])):
         old, new = stages["old"].get(name), stages["new"].get(name)
         cells = [quartiles(times) if times else "-" for times in (old, new)]
         faster = f"{sum(n < o for o, n in zip(old, new))}/{len(old)}" if old and new else "-"

@@ -138,21 +138,21 @@ class Executor:
     How the directions are summed sets the cube's layout (see
     ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the matching
     costs C in bytes beside the sums in ``"cost_sum"``; or, where the last
-    direction folds into it, that direction's r + paths * C; or uint16
+    walk stage folds into it, one residual r plus paths * C; or uint16
     cells that hold C in their cost bits above the sum over every
     direction.
 
     The stages are built once, each a name and the tasks that write its
     disjoint parts: census words and costs, the walks, selection and the
     median.  Every executor builds the same stage list.  Opposite
-    directions pair up, except the fold's last direction and its opposite:
-    each pair runs two stages of two half-walks, a whole front over half
-    the steps each, so a walk pays each step's fixed numpy cost once per
-    front.  A direction left unpaired is one stage.  A pool changes only
-    the tasks: it cuts the row stages into ``ROW_TASKS_PER_WORKER`` tasks
-    per worker, an unpaired direction into one band of lines per worker
-    and, with more than 2 workers, each half-walk into ``workers // 2``
-    bands.  ``run()`` runs the stages in order, so every frame rebuilds C
+    directions pair up: each pair runs two stages of two half-walks, a
+    whole front over half the steps each, so a walk pays each step's fixed
+    numpy cost once per front.  A direction with no opposite, as at 2
+    paths, is one stage.  So every walk stage walks each cell once.  A
+    pool changes only the tasks: it cuts the row stages into
+    ``ROW_TASKS_PER_WORKER`` tasks per worker and each walk of a stage into
+    one band of lines per worker, or with a pair's two half-walks, per two
+    workers.  ``run()`` runs the stages in order, so every frame rebuilds C
     first.  Buffers that would not fit, with the census words a frame's
     cost tasks build, in the memory the host reports as available
     (``MemAvailable``) raise ``ConfigError`` before any allocation.  Not
@@ -198,7 +198,7 @@ class Executor:
             self.workers = 1
 
         # S(p, d), the sum over directions of the smoothed costs: in one byte
-        # volume where a byte holds it, or there with the last direction
+        # volume where a byte holds it, or there with the last walk stage
         # folded into "mc", or in the sum bits of "mc"; see params.sum_volumes
         layout = sum_volumes(params.directions, params.p2)
         packed, fold = layout == "packed", layout == "fold"
@@ -214,16 +214,30 @@ class Executor:
             declared["cost_sum"] = (volume, np.uint8)
         if median:
             declared["disp_out"] = (frame, np.uint8)
-        # opposite directions pair up, but not the fold's last direction,
-        # which overwrites the costs its opposite reads, nor that opposite
+        # the walk stages, each a name and its walks (direction, steps,
+        # slot), which together walk every cell once.  A direction and its
+        # opposite pair up in two phases of two half-walks, each a whole
+        # front over half the steps: in phase 1 the direction's first half
+        # and its opposite's, which meet in the middle; in phase 2 the
+        # other halves, each continuing from its slot's state.  A direction
+        # with no opposite, as at 2 paths, walks whole in one stage
         directions = params.directions
-        unpaired = {directions[-1], _opposite(directions[-1])} if fold else set()
-        pairs = {d: _opposite(d) for i, d in enumerate(directions)
-                 if _opposite(d) in directions[i + 1:] and d not in unpaired}
+        walk_stages = []
+        for i, direction in enumerate(directions):
+            opposite = _opposite(direction)
+            if opposite in directions[i + 1:]:
+                n = step_count(height, width, direction)
+                halves = [(0, n // 2), (n // 2, n)] if walks_up(direction) else [(n // 2, n), (0, n // 2)]
+                walk_stages += [(f"{_direction_name(direction, opposite)} {phase + 1}/2",
+                                 [(d, halves[phase ^ slot], slot) for slot, d in enumerate((direction, opposite))])
+                                for phase in (0, 1)]
+            elif opposite not in directions:
+                walk_stages.append((_direction_name(direction), [(direction, None, None)]))
         # a pair's two half-walks keep their lines' state between phases, a
         # slot each, as long as the pairs' longest front
-        if pairs:
-            front = max(line_count(height, width, d) for d in pairs)
+        paired = [d for _, walks in walk_stages for d, _, slot in walks if slot is not None]
+        if paired:
+            front = max(line_count(height, width, d) for d in paired)
             declared["walk_state"] = ((2, front, params.disparities), np.uint8)
         # plus the census words of the rows in flight (one frame's at most,
         # the whole frame's serially): counted for any thread count, so
@@ -240,44 +254,29 @@ class Executor:
         np.copyto(bufs["right"], right)
         self.buffers = bufs
 
-        # into the byte volume, the first direction writes every cell and the
-        # others add: residuals when folding, else smoothed costs.  Into
-        # packed cells, whose sums start at 0, every direction adds.  When
-        # folding, the last direction turns each walked cost C in "mc" into
-        # r + paths * C.  The tasks of one stage touch disjoint cells
-        walks = [(d, "mc" if packed else "cost_sum", packed or i > 0, 0 if fold else 1)
-                 for i, d in enumerate(directions)]
-        if fold:
-            walks[-1] = (directions[-1], "mc", False, params.paths)
+        # since every walk stage walks each cell once, its place in the list
+        # sets what it does to the sum.  Into packed cells, whose sums start
+        # at 0, every stage adds.  Into the byte volume, the first stage
+        # writes and the others add: residuals when folding, else smoothed
+        # costs; but when folding, the last stage turns each walked cost C
+        # in "mc" into r + paths * C, which no later walk reads.  A stage
+        # cuts each of its walks into workers // len(walks) bands of lines,
+        # about one task per worker
         sums = ("mc",) if packed else ("cost_sum", "mc") if fold else ("cost_sum",)
         rows = split_ranges(height, self.ROW_TASKS_PER_WORKER * self.workers if parallel else 1)
         # census words and matching costs, one row range per task
         self._stages: list[tuple[str, list[Task]]] = [
             ("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])]
-        for direction, dst, add, costs in walks:
-            walk = dict(p1=params.p1, p2=params.p2, dst=dst, costs=costs)
-            lines = line_count(height, width, direction)
-            if direction not in pairs and direction not in pairs.values():
-                self._stages.append((_direction_name(direction), [
-                    (_aggregate_task, dict(walk, direction=direction, lo=lo, hi=hi, add=add))
-                    for lo, hi in split_ranges(lines, self.workers)]))
-            elif direction in pairs:
-                # a half-walk covers the whole front over half the steps
-                # (in one band per two workers, one band serially): in
-                # phase 1 the direction's first half and its opposite's,
-                # which meet in the middle; in phase 2 the other halves,
-                # each continuing from its slot's state.  A pair that walks
-                # the sum's first direction writes in phase 1, then adds
-                opposite, n = pairs[direction], step_count(height, width, direction)
-                halves = [(0, n // 2), (n // 2, n)]
-                if not walks_up(direction):
-                    halves.reverse()
-                bands = split_ranges(lines, self.workers // 2)
-                for phase in (0, 1):
-                    self._stages.append((f"{_direction_name(direction, opposite)} {phase + 1}/2", [
-                        (_aggregate_task, dict(walk, direction=d, lo=lo, hi=hi, add=add or phase > 0,
-                                               steps=halves[phase ^ slot], slot=slot))
-                        for slot, d in enumerate((direction, opposite)) for lo, hi in bands]))
+        for i, (name, walks) in enumerate(walk_stages):
+            if fold and i == len(walk_stages) - 1:
+                dst, add, costs = "mc", False, params.paths
+            else:
+                dst, add, costs = "mc" if packed else "cost_sum", packed or i > 0, 0 if fold else 1
+            self._stages.append((name, [
+                (_aggregate_task, dict(direction=d, p1=params.p1, p2=params.p2, lo=lo, hi=hi, dst=dst, add=add,
+                                       costs=costs, steps=steps, slot=slot))
+                for d, steps, slot in walks
+                for lo, hi in split_ranges(line_count(height, width, d), self.workers // len(walks))]))
         self._stages.append(("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows]))
         if median:
             self._stages.append(("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows]))

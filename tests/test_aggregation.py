@@ -314,7 +314,7 @@ def test_walks_split_at_a_step_continue_from_their_state(monkeypatch, block_byte
 @given(hamming_volumes(), st.sampled_from(ALL_DIRECTIONS), st.data())
 @settings(deadline=None, max_examples=80)
 def test_residual_and_folded_walks_match_scalar_oracle(mc, direction, data):
-    # the pipeline sums residuals (costs=0) and folds its last direction
+    # the pipeline sums residuals (costs=0) and folds its last walk stage
     # into the cost volume itself (costs=k, out=mc), a range of lines at a time
     params = data.draw(sgm_params(mc.shape[2]))
     residuals = oracle_sgm(mc, direction, params) - mc

@@ -135,15 +135,14 @@ def _bench_buffer_mb(stderr: str) -> float:
 
 def test_bench_reports_no_more_buffer_mib_at_8_paths_than_at_4(pair_dir, tmp_path):
     # at the default p2 the 4-path Executor holds the cost cube and one byte
-    # volume (the last direction folds into the cube), and 8 paths one cube
+    # volume (the last walk stage folds into the cube), and 8 paths one cube
     # of packed uint16 cells: two bytes a cell either way.  Both also hold
     # their paired walks' state, two slots of the longest paired front: the
-    # 26 rows of the fold's one pair, (+1,0) and (-1,0), at 4 paths, and the
-    # 61 lines of a diagonal at 8.  The printed MiB round those 832 and
-    # 1952 bytes away, so the claim is held in bytes, on the report the CLI
-    # prints
+    # 36 columns of the vertical pair at 4 paths, and the 61 lines of a
+    # diagonal at 8.  The printed MiB round those 1152 and 1952 bytes away,
+    # so the claim is held in bytes, on the report the CLI prints
     height, width, disparities = 26, 36, 16
-    state = {4: 2 * height * disparities, 8: 2 * (width + height - 1) * disparities}
+    state = {4: 2 * width * disparities, 8: 2 * (width + height - 1) * disparities}
     held = {}
     for paths in (4, 8):
         out = tmp_path / f"p{paths}.pgm"

@@ -126,7 +126,7 @@ def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled, 
     # a direction that leaves cells of the summed volume untouched would keep
     # the previous pair's sums there, which a fresh Executor cannot show; at
     # 8 paths the sums sit in "mc" itself and must restart at 0, and at 4
-    # paths the last direction overwrote "mc", which must be rebuilt
+    # paths the last walk stage overwrote "mc", which must be rebuilt
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     first = shifted_pair(23, 17, 3, seed=18)
     second = shifted_pair(23, 17, 6, seed=19)
@@ -143,9 +143,10 @@ def test_reused_executor_recomputes_the_sum_for_a_new_pair(monkeypatch, pooled, 
 def _layout(paths: int, p2: int) -> str:
     """How the pipeline sums ``paths`` smoothed costs, each at most 31 + p2:
     in one byte volume when a byte holds them all; else, when a byte holds
-    the residuals (each at most p2) of all directions but the last and the
-    last direction's r + paths * C fits the cube's byte, with that direction
-    folded into "mc"; else in the sum bits of packed uint16 cells."""
+    the residuals (each at most p2) of all walk stages but the last, each
+    stage walking every cell once, and one residual plus paths * C fits the
+    cube's byte, with the last stage folded into "mc"; else in the sum bits
+    of packed uint16 cells."""
     if paths * (31 + p2) <= 255:
         return "byte"
     if (paths - 1) * p2 <= 255 and paths * 31 + p2 <= 255:
@@ -158,8 +159,8 @@ def test_every_setting_holds_at_most_two_bytes_a_cell():
     # filtered map only when the median runs; every layout meets both.
     # Where directions pair, their half-walks keep a byte state of the
     # pairs' longest front, two slots of it: the 31 lines of a diagonal at
-    # 8 paths, at 4 paths the 20 of a vertical direction, or the 12 of the
-    # horizontal pair, which is the fold's only one; 2 paths have no pairs
+    # 8 paths, the 20 of a vertical direction at 4 paths, in every layout;
+    # 2 paths have no pairs
     left, right = shifted_pair(20, 12, 2, seed=17)
     for paths in (2, 4, 8):
         for p2 in range(2, 225):
@@ -172,7 +173,7 @@ def test_every_setting_holds_at_most_two_bytes_a_cell():
                 names = set(buffers)
                 volumes = {name: b.dtype for name, b in buffers.items() if b.ndim == 3}
                 assert all(b.shape == (12, 20, 8) for b in buffers.values() if b.ndim == 3)
-            front = {2: None, 4: 12 if layout == "fold" else 20, 8: 31}[paths]
+            front = {2: None, 4: 20, 8: 31}[paths]
             if front is None:
                 assert state is None, (paths, p2)
             else:
@@ -198,7 +199,7 @@ def _striped_pair(height: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _BOUND_CASES = [
-    (84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2), (60, 8), (84, 8), (224, 8), (200, 2)
+    (84, 4), (85, 4), (96, 2), (96, 4), (97, 2), (97, 4), (193, 2), (7, 8), (60, 8), (84, 8), (224, 8), (200, 2)
 ]
 
 
@@ -206,16 +207,17 @@ _BOUND_CASES = [
 @pytest.mark.parametrize(("p2", "paths"), _BOUND_CASES, ids=[f"{p2}-{paths}" for p2, paths in _BOUND_CASES])
 @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
 def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, disparities):
-    # folded (4 paths at p2 84 and 85, 2 paths at 97 and 193), the byte
-    # volume must peak at (paths - 1) * p2, 255 at 4 paths and p2 = 85, and
-    # "mc" at paths * 31 + p2, 255 at 2 paths and p2 = 193.  At 2 paths and
+    # folded (4 paths at p2 84 and 85, 2 paths at 97 and 193, 8 paths at 7
+    # with p1 = 6), the byte volume must peak at (paths - 1) * p2, 255 at 4
+    # paths and p2 = 85, and "mc" at paths * 31 + p2, 255 at 2 paths and
+    # p2 = 193 and at 8 paths and p2 = 7.  At 2 paths and
     # p2 = 96 a byte holds both smoothed costs (2 * 127 = 254).  Packed (4
     # paths at 96 and 97, 8 paths, 2 paths at 200), the sum bits must peak
     # at paths * (31 + p2), 2040 at 8 paths and p2 = 224.  With one
     # disparity every residual is 0
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     left, right = _striped_pair(20, 48)
-    params = SgmParams(disparities=disparities, p1=7, p2=p2, paths=paths)
+    params = SgmParams(disparities=disparities, p1=min(7, p2 - 1), p2=p2, paths=paths)
     jump = p2 if disparities > 1 else 0
     layout = _layout(paths, p2)
     with Executor(left, right, params, threads=threads) as ex:
@@ -268,11 +270,9 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
     # fold, packed)
     assert batches == 2 * ([rows] + [2] * paths + [rows, rows])
     walks = {
-        # 2 paths have no opposites
+        # 2 paths have no opposites; at 4 and 8 every direction pairs
         2: ["aggregate(+1,+0)", "aggregate(+0,+1)"],
-        # the fold's last direction and its opposite stay unpaired
-        4: ["aggregate(+1,+0)&(-1,+0) 1/2", "aggregate(+1,+0)&(-1,+0) 2/2",
-            "aggregate(+0,+1)", "aggregate(+0,-1)"],
+        4: [f"aggregate{pair} {phase}/2" for pair in ("(+1,+0)&(-1,+0)", "(+0,+1)&(+0,-1)") for phase in (1, 2)],
         8: [f"aggregate{pair} {phase}/2"
             for pair in ("(+1,+0)&(-1,+0)", "(+0,+1)&(+0,-1)", "(+1,+1)&(-1,-1)", "(-1,+1)&(+1,-1)")
             for phase in (1, 2)],
@@ -302,30 +302,32 @@ def _walked_cells(height: int, width: int, kwargs: dict) -> np.ndarray:
     return (kwargs["lo"] <= line) & (line < kwargs["hi"]) & (s0 <= step) & (step < s1)
 
 
-# byte sum (4 paths, p2 <= 32), fold (4, 84) with its last direction and
-# that one's opposite unpaired, packed (8, 84), and 2 paths, which have no
-# opposites; with the pairs each layout makes
-_PAIR_CASES = [(4, 30, 2), (4, 84, 1), (8, 84, 4), (2, 200, 0)]
+# byte sum (4 paths, p2 <= 32), fold (4, 84; 8, 7; 2, 150), packed (8, 84)
+# and packed at 2 paths, which have no opposites; with p1 and the pairs each
+# layout makes: every opposite pair pairs
+_PAIR_CASES = [(4, 5, 30, 2), (4, 5, 84, 2), (8, 6, 7, 4), (2, 5, 150, 0), (8, 5, 84, 4), (2, 5, 200, 0)]
 
 
 @pytest.mark.parametrize("disparities", [1, 5])
-@pytest.mark.parametrize(("paths", "p2", "pairs"), _PAIR_CASES,
-                         ids=["byte", "fold", "packed", "unpaired-packed"])
+@pytest.mark.parametrize(("paths", "p1", "p2", "pairs"), _PAIR_CASES,
+                         ids=["byte", "fold", "fold-8", "fold-2", "packed", "unpaired-packed"])
 @pytest.mark.parametrize(("width", "height"), [(23, 17), (17, 23)])
 @pytest.mark.parametrize("threads", [1, 2, 4])
-def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p2, pairs,
+def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p1, p2, pairs,
                                            disparities):
-    # odd frames cut every walk into unequal halves.  In each phase of a
-    # pair the half-walks write disjoint cells, together every cell once,
-    # and the two phases walk every cell once in each direction.  4 workers
-    # cut each half-walk into 2 bands of lines; a serial executor walks the
-    # same phases, a whole front a half-walk, in the pool's stage list
+    # odd frames cut every walk into unequal halves.  Every walk stage, a
+    # pair's phase or a direction with no opposite, writes disjoint cells,
+    # together every cell once, and the stages walk every cell once in each
+    # direction.  In a phase of a pair the half-walks meet in the middle; 4
+    # workers cut each half-walk into 2 bands of lines and an unpaired
+    # direction into 4.  A serial executor walks the same stages, a whole
+    # front a walk, in the pool's stage list
     if threads > 1 and not _pool_expected():
         pytest.skip("needs fork and two CPUs for a pool")
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
     monkeypatch.setattr(pipeline, "default_threads", lambda: threads)
     left, right = shifted_pair(width, height, 2, seed=20)
-    params = SgmParams(disparities=disparities, p1=5, p2=p2, paths=paths)
+    params = SgmParams(disparities=disparities, p1=p1, p2=p2, paths=paths)
     with Executor(left, right, params) as ex:
         serial = ex.run()
         serial_names = [name for name, _ in ex._stages]
@@ -335,18 +337,25 @@ def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, 
         disp = ex.run()
         assert [name for name, _ in ex._stages] == serial_names
         stages = [(name, tasks) for name, tasks in ex._stages if name.startswith("aggregate")]
+        sums = {name: ex.buffers[name].astype(int) for name in ("mc", "cost_sum") if name in ex.buffers}
     assert (disp == serial).all()
     assert (disp == oracle_pipeline(left, right, params)).all()
-    paired = [(name, tasks) for name, tasks in stages if "&" in name]
-    assert len(paired) == 2 * pairs and len(stages) == paths
+    if _layout(paths, p2) == "fold":
+        # the last stage folded one residual beside paths * C into every
+        # cell of "mc", and the byte volume holds the other paths - 1
+        costs = oracle_matching_cost(oracle_census(left), oracle_census(right), disparities)
+        folded = sums["mc"] - paths * costs.astype(int)
+        assert ((0 <= folded) & (folded <= p2)).all()
+        assert (sums["cost_sum"] <= (paths - 1) * p2).all()
+    assert sum("&" in name for name, _ in stages) == 2 * pairs and len(stages) == paths
     walked = {}
-    for name, tasks in paired:
-        assert len(tasks) == 2 * max(1, threads // 2), name
+    for name, tasks in stages:
+        assert len(tasks) == (2 * max(1, threads // 2) if "&" in name else threads), name
         cells = [_walked_cells(height, width, kwargs) for _, kwargs in tasks]
         assert (sum(cells) == 1).all(), name
         for (_, kwargs), mask in zip(tasks, cells):
             walked[kwargs["direction"]] = walked.get(kwargs["direction"], 0) + mask
-    assert len(walked) == 2 * pairs
+    assert len(walked) == paths
     assert all((count == 1).all() for count in walked.values())
 
 
@@ -464,10 +473,10 @@ def test_benchmark_does_not_change_output(tmp_path):
     )
     assert benched.bench is not None
     assert benched.bench.iterations == 2
-    # the fold's last direction and its opposite stay unpaired
+    # the fold walks both pairs of opposite directions in two phases
     assert list(benched.bench.stage_ms) == [
         "matching_cost", "aggregate(+1,+0)&(-1,+0) 1/2", "aggregate(+1,+0)&(-1,+0) 2/2",
-        "aggregate(+0,+1)", "aggregate(+0,-1)", "selection", "median",
+        "aggregate(+0,+1)&(+0,-1) 1/2", "aggregate(+0,+1)&(+0,-1) 2/2", "selection", "median",
     ]
     assert benched.bench.fps > 0
     assert (benched.disparity == plain.disparity).all()
