@@ -73,6 +73,33 @@ class _Scratch:
         self.p2 = p2
 
 
+def _operands(lines: np.ndarray, s: _Scratch) -> tuple:
+    """``_step``'s operands for relaxing the state block ``lines``: views of
+    it and of the scratch cut to its size, built once for every step that
+    relaxes the same block."""
+    size, cells = len(lines), lines.size
+    flat, flat_nb, flat_pair = lines.reshape(-1), s.flat_nb[:cells], s.flat_pair[:cells]
+    pmin, nb = s.pmin[:size], s.nb[:size]
+    return (flat, s.line_starts[:size], pmin, lines, pmin[:, None], s.p2_minus_p1[:size], nb,
+            s.p1[:size], flat_nb[:-1], flat_nb[1:], flat_pair[:-1], s.pair[:size, -1], s.p2,
+            s.pair[:size], flat[1:])
+
+
+def _step(flat, starts, pmin, lines, pmin_col, cap, nb, p1, nb_lo, nb_hi, pair_lo, pair_last, p2,
+          pair, flat_hi) -> None:
+    """``_relax`` on the operands ``_operands`` built."""
+    np.minimum.reduceat(flat, starts, out=pmin)
+    np.subtract(lines, pmin_col, out=lines)
+    np.minimum(lines, cap, out=nb)
+    np.add(nb, p1, out=nb)
+    # pair[d] = min(nb[d], nb[d + 1]); the last column would read the next
+    # line's d = 0, so it holds p2, which never lowers a result
+    np.minimum(nb_lo, nb_hi, out=pair_lo)
+    pair_last.fill(p2)
+    np.minimum(lines, pair, out=lines)
+    np.minimum(flat_hi, pair_lo, out=flat_hi)
+
+
 def _relax(lines: np.ndarray, s: _Scratch) -> None:
     """One recurrence step, in place: ``lines`` holds the smoothed costs L of
     each line's last cell and receives the residuals of its next cell.
@@ -82,28 +109,11 @@ def _relax(lines: np.ndarray, s: _Scratch) -> None:
     min(n[d], nb[d], nb[d-1], nb[d+1]) where nb = min(n + p1, p2)
     = min(n, p2 - p1) + p1; nb[d] supplies the p2 cap because
     min(n, nb) == min(n, p2).  Past n, every value is <= p2.  A line of
-    zeros relaxes to zeros.
+    zeros relaxes to zeros.  A step is eight numpy calls on views of
+    ``lines`` and of the scratch; a walk builds those views once per window
+    (``_operands``) and runs each step on them (``_step``).
     """
-    nb, pair, pmin = s.nb, s.pair, s.pmin
-    flat_nb, flat_pair = s.flat_nb, s.flat_pair
-    starts, p1, cap = s.line_starts, s.p1, s.p2_minus_p1
-    size = len(lines)
-    if size < len(pmin):  # a narrower window: cut the buffers, copying nothing
-        cells = size * nb.shape[1]
-        nb, pair, pmin = nb[:size], pair[:size], pmin[:size]
-        flat_nb, flat_pair = flat_nb[:cells], flat_pair[:cells]
-        starts, p1, cap = starts[:size], p1[:size], cap[:size]
-    flat = lines.reshape(-1)
-    np.minimum.reduceat(flat, starts, out=pmin)
-    np.subtract(lines, pmin[:, None], out=lines)
-    np.minimum(lines, cap, out=nb)
-    np.add(nb, p1, out=nb)
-    # pair[d] = min(nb[d], nb[d + 1]); the last column would read the next
-    # line's d = 0, so it holds p2, which never lowers a result
-    np.minimum(flat_nb[:-1], flat_nb[1:], out=flat_pair[:-1])
-    pair[:, -1] = s.p2
-    np.minimum(lines, pair, out=lines)
-    np.minimum(flat[1:], flat_pair[:-1], out=flat[1:])
+    _step(*_operands(lines, s))
 
 
 def line_count(height: int, width: int, direction: Direction) -> int:
@@ -159,6 +169,9 @@ def _walk(
 
     An unsheared walk relaxes a block of rows (512 KiB) per yield; a
     sheared window moves every row, so a diagonal yields one row at a time.
+    The relax step's operands, views of the window and of the scratch, are
+    built once per window: once for an unsheared walk, whose window is
+    every line, and once per row for a sheared one.
     The block buffers keep ``mc``'s own (H, W, D) order, so a horizontal
     walk gathers its costs and yields its results as runs of whole block
     rows, and each of its steps adds and emits strided views of them.  A
@@ -190,7 +203,7 @@ def _walk(
     packed = mc.dtype == np.uint16
     fronts = block_buffer()
     costs = block_buffer() if transposed or packed else None
-    starts = range(s0, s1, block)
+    starts, operands = range(s0, s1, block), None
     for r0 in starts if step > 0 else reversed(starts):
         r1 = min(r0 + block, s1)
         c0 = lo + shear * r0 - offset  # column of slot 0 in row r0
@@ -205,8 +218,10 @@ def _walk(
             else:
                 np.copyto(block_cost, cells)
         lines, window = state[a:b], fronts[: r1 - r0, a:b]
+        if shear or operands is None:  # an unsheared window is all the lines
+            operands = _operands(lines, s)
         for i in range(r1 - r0) if step > 0 else range(r1 - r0 - 1, -1, -1):
-            _relax(lines, s)
+            _step(*operands)
             if smoothed:
                 np.add(lines, block_cost[i], out=lines)
                 np.copyto(window[i], lines)

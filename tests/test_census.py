@@ -83,6 +83,20 @@ def test_row_chunks_match_single_call():
     assert (np.concatenate(slabs) == whole).all()
 
 
+@given(gray_images(), st.data())
+@settings(deadline=None)
+def test_slab_matches_oracle_rows(img, data):
+    # a slab's padded rows, the margins of its flat run and the pad columns
+    # it crops all sit at slab and image edges: any slab of any image must
+    # equal those rows of the oracle's words
+    height, width = img.shape
+    y0 = data.draw(st.integers(0, height))
+    y1 = data.draw(st.integers(y0, height))
+    out = np.full((y1 - y0, width), 0xFFFF_FFFF, np.uint32)
+    census_rows(img, out, y0, y1)
+    assert (out == oracle_census(img)[y0:y1]).all()
+
+
 def test_rejects_bad_input():
     with pytest.raises(ValueError):
         census_transform(np.zeros((3, 3), np.float32))

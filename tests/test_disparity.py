@@ -213,7 +213,7 @@ def selection_cases(draw):
     inside a block."""
     packed = draw(st.booleans())
     top = _SUM_MASK if packed else 255
-    disparities = draw(st.sampled_from([1, 2, 32, 33, 128, 129, 255, 256]) | st.integers(1, 256))
+    disparities = draw(st.sampled_from([1, 2, 32, 33, 63, 64, 65, 128, 129, 255, 256]) | st.integers(1, 256))
     height, width = draw(st.integers(1, 7)), draw(st.integers(1, 3))
     values = st.sampled_from([0, top]) | st.integers(0, 3) | st.integers(0, top)
     shape = (height, width, disparities)
@@ -230,13 +230,13 @@ def selection_cases(draw):
     return volumes, block_rows, y0, y1
 
 
-def _extremes(count: int, disparities: int, hot: int):
+def _extremes(count: int, disparities: int, hot: int, height: int = 2):
     """Byte volumes, or with ``count`` 0 a packed cube whose cost bits are
-    all set, with every sum at its top except at the lowest disparity and
-    ``hot``, which hold 0 in the first volume: a tie the lowest index must
-    win."""
+    all set, ``height`` rows by 2, with every sum at its top except at the
+    lowest disparity and ``hot``, which hold 0 in the first volume: a tie
+    the lowest index must win."""
     dtype, top, low = (np.uint8, 255, 0) if count else (np.uint16, 0xFFFF, 31 << SUM_BITS)
-    volumes = [np.full((2, 2, disparities), top, dtype) for _ in range(max(count, 1))]
+    volumes = [np.full((height, 2, disparities), top, dtype) for _ in range(max(count, 1))]
     volumes[0][..., 0] = low
     volumes[0][..., hot] = low
     return volumes
@@ -250,6 +250,18 @@ def _extremes(count: int, disparities: int, hot: int):
 @example((_extremes(0, 32, 31), 1, 0, 2))  # packed, 16-bit keys
 @example((_extremes(0, 33, 32), 1, 0, 2))
 @example((_extremes(0, 256, 255), 1, 0, 2))
+# window doubling up to D=64, reduceat above, each in 16- and 32-bit keys
+@example((_extremes(1, 63, 62), 1, 0, 2))
+@example((_extremes(8, 63, 62), 1, 0, 2))
+@example((_extremes(0, 63, 62), 1, 0, 2))
+@example((_extremes(4, 64, 63), 1, 0, 2))
+@example((_extremes(5, 64, 63), 1, 0, 2))
+@example((_extremes(0, 64, 63), 1, 0, 2))  # packed at D=64: 32-bit keys
+@example((_extremes(2, 65, 64), 1, 0, 2))
+@example((_extremes(3, 65, 64), 1, 0, 2))
+@example((_extremes(0, 65, 64), 1, 0, 2))
+# five doubling passes end in the spare buffer, here on a short last block
+@example((_extremes(2, 32, 31, height=3), 1, 0, 3))
 @settings(deadline=None, max_examples=300)
 def test_select_rows_matches_argmin_of_the_sum(case):
     volumes, block_rows, y0, y1 = case
