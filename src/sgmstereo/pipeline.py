@@ -77,16 +77,64 @@ class PipelineResult:
 
 
 def available_memory() -> int | None:
-    """Bytes of memory the kernel reports as available to new allocations
-    (``MemAvailable`` in /proc/meminfo), or None where that cannot be read."""
+    """Bytes of memory available to the process's new allocations: the
+    smaller of what the kernel reports as available (``MemAvailable`` in
+    /proc/meminfo) and what the process's cgroup memory limit leaves (see
+    ``cgroup_memory_left``), or None where neither can be read."""
+    left = cgroup_memory_left()
     try:
         with open("/proc/meminfo") as meminfo:
             for line in meminfo:
                 if line.startswith("MemAvailable:"):
-                    return int(line.split()[1]) * 1024
+                    host = int(line.split()[1]) * 1024
+                    return host if left is None else min(host, left)
     except OSError:
         pass
-    return None
+    return left
+
+
+# where the process finds its cgroups and the cgroup file systems are mounted
+_PROC_CGROUP = "/proc/self/cgroup"
+_CGROUP_ROOT = "/sys/fs/cgroup"
+# a v1 memory.limit_in_bytes this large means no limit: an unlimited cgroup
+# reads 2**63 - 1 rounded down to a page, 9223372036854771712 at 4 KiB
+_NO_LIMIT = 2**62
+
+
+def cgroup_memory_left() -> int | None:
+    """Bytes the memory limit of the process's own cgroup leaves unused:
+    ``memory.max`` minus ``memory.current`` under cgroup v2, or
+    ``memory.limit_in_bytes`` minus ``memory.usage_in_bytes`` under v1,
+    the smaller where both read.  None where no limit is set (``max``, or a
+    v1 limit near 2**63) or the files cannot be read.  Usage counts the
+    cgroup's page cache, so this can understate what reclaim would free."""
+    try:
+        with open(_PROC_CGROUP) as entries:
+            lines = entries.read().splitlines()
+    except OSError:
+        return None
+    left = []
+    for line in lines:
+        # "hierarchy-ID:controller-list:cgroup-path"; v2 is "0::path"
+        fields = line.split(":", 2)
+        if len(fields) != 3:
+            continue
+        _, controllers, path = fields
+        if controllers == "":
+            base, limit_file, usage_file = _CGROUP_ROOT, "memory.max", "memory.current"
+        elif "memory" in controllers.split(","):
+            base = f"{_CGROUP_ROOT}/memory"
+            limit_file, usage_file = "memory.limit_in_bytes", "memory.usage_in_bytes"
+        else:
+            continue
+        directory = Path(base, path.lstrip("/"))
+        try:
+            limit = int((directory / limit_file).read_text())
+            if limit < _NO_LIMIT:
+                left.append(max(0, limit - int((directory / usage_file).read_text())))
+        except (OSError, ValueError):  # missing, unreadable, or "max"
+            continue
+    return min(left, default=None)
 
 
 def _direction_name(*directions: Direction) -> str:
@@ -149,26 +197,21 @@ class Executor:
     whole front over half the steps each, so a walk pays each step's fixed
     numpy cost once per front.  A direction with no opposite, as at 2
     paths, is one stage.  So every walk stage walks each cell once.  A
-    pool changes only the tasks: it cuts the row stages into
-    ``ROW_TASKS_PER_WORKER`` tasks per worker and each walk of a stage into
-    one band of lines per worker, or with a pair's two half-walks, per two
-    workers.  ``run()`` runs the stages in order, so every frame rebuilds C
-    first.  Buffers that would not fit, with the census words a frame's
-    cost tasks build, in the memory the host reports as available
-    (``MemAvailable``) raise ``ConfigError`` before any allocation.  Not
-    counted: the cost tasks' block scratch, at most 1 MiB or one row's
-    4 * W * D bytes a task, and a container's cgroup memory limit, which
-    ``MemAvailable`` does not reflect.
+    pool changes only the tasks: it cuts each row stage into one row range
+    per worker and each walk of a stage into one band of lines per worker,
+    or with a pair's two half-walks, per two workers, so a pooled stage
+    runs at most one task per worker.  ``run()`` runs the stages in order,
+    so every frame rebuilds C first.  Buffers that would not fit, with the
+    census words a frame's cost tasks build, in the memory available to the
+    process (``available_memory``: the host's ``MemAvailable``, or less
+    where the process's cgroup memory limit leaves less) raise
+    ``ConfigError`` before any allocation.  Not counted: the cost tasks'
+    block scratch, at most 1 MiB or one row's 4 * W * D bytes a task.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
     # speedup; the output is identical either way
     MIN_PARALLEL_CELLS = 2_000_000
-    # pooled row stages are cut into this many tasks per worker.  Workers
-    # pull tasks from one queue, so a worker that loses its CPU for a while
-    # (a busy host, another process) leaves its remaining share to the
-    # others instead of holding up the whole stage
-    ROW_TASKS_PER_WORKER = 4
 
     def __init__(self, left: np.ndarray, right: np.ndarray, params: SgmParams,
                  median: bool = True, threads: int = 1):
@@ -260,10 +303,11 @@ class Executor:
         # writes and the others add: residuals when folding, else smoothed
         # costs; but when folding, the last stage turns each walked cost C
         # in "mc" into r + paths * C, which no later walk reads.  A stage
-        # cuts each of its walks into workers // len(walks) bands of lines,
-        # about one task per worker
+        # cuts each of its walks into workers // len(walks) bands of lines
+        # and a row stage its rows into one range per worker: at most one
+        # task per worker a stage
         sums = ("mc",) if packed else ("cost_sum", "mc") if fold else ("cost_sum",)
-        rows = split_ranges(height, self.ROW_TASKS_PER_WORKER * self.workers if parallel else 1)
+        rows = split_ranges(height, self.workers)
         # census words and matching costs, one row range per task
         self._stages: list[tuple[str, list[Task]]] = [
             ("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])]

@@ -51,7 +51,7 @@ def split_ranges(extent: int, parts: int) -> list[tuple[int, int]]:
 
 def run_tasks(pool: "ForkPool | None", buffers: Buffers, tasks: Sequence[Task]) -> None:
     """Run tasks on the pool, or inline when no pool is active."""
-    if pool is None or len(tasks) <= 1:
+    if pool is None:
         for fn, kwargs in tasks:
             fn(buffers, **kwargs)
     else:

@@ -243,9 +243,9 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
 
 
 @pytest.mark.parametrize("paths", [2, 4, 8])
-def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths):
-    if not fork_available() or (os.cpu_count() or 1) < 2:
-        pytest.skip("needs fork and two CPUs for a pool")
+def test_pool_runs_one_task_per_worker_in_every_stage(monkeypatch, paths):
+    if not fork_available():
+        pytest.skip("needs fork for a pool")
     left, right = shifted_pair(40, 30, 4, seed=16)
     params = SgmParams(disparities=16, paths=paths)
     serial = compute_disparity(left, right, params, threads=1)
@@ -258,17 +258,6 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
         return original(pool, buffers, tasks)
 
     monkeypatch.setattr(pipeline, "run_tasks", recording_run_tasks)
-    timings = {}
-    with Executor(left, right, params, threads=2) as ex:
-        assert ex.pool is not None
-        frames = [ex.run(timings) for _ in range(2)]
-    assert all((disp == serial).all() for disp in frames)
-    rows = Executor.ROW_TASKS_PER_WORKER * 2
-    # census words and costs (one row range a task), the walks (a band of
-    # lines per worker, or a paired phase of two half-walks), selection,
-    # median; the same every frame, whichever layout the paths pick (byte,
-    # fold, packed)
-    assert batches == 2 * ([rows] + [2] * paths + [rows, rows])
     walks = {
         # 2 paths have no opposites; at 4 and 8 every direction pairs
         2: ["aggregate(+1,+0)", "aggregate(+0,+1)"],
@@ -277,11 +266,32 @@ def test_pool_splits_row_stages_into_several_tasks_per_worker(monkeypatch, paths
             for pair in ("(+1,+0)&(-1,+0)", "(+0,+1)&(+0,-1)", "(+1,+1)&(-1,-1)", "(-1,+1)&(+1,-1)")
             for phase in (1, 2)],
     }
-    assert list(timings) == ["matching_cost", *walks[paths], "selection", "median"]
+    names = ["matching_cost", *walks[paths], "selection", "median"]
+    for workers in (2, 4):
+        monkeypatch.setattr(pipeline, "default_threads", lambda: workers)
+        batches.clear()
+        timings = {}
+        with Executor(left, right, params, threads=workers) as ex:
+            assert ex.pool is not None and ex.workers == workers
+            frames = [ex.run(timings) for _ in range(2)]
+            stages = dict(ex._stages)
+        assert all((disp == serial).all() for disp in frames)
+        # census words and costs, selection and the median take one row
+        # range per worker, and the walks a band of lines per worker, or a
+        # paired phase's two half-walks a band per two workers: one task
+        # per worker in every stage, every frame, whichever layout the paths
+        # pick (byte, fold, packed)
+        assert batches == 2 * [workers] * (paths + 3)
+        assert list(timings) == names
+        for name in ("matching_cost", "selection", "median"):
+            covered = np.zeros(left.shape[0], int)
+            for _, kwargs in stages[name]:
+                covered[kwargs["y0"] : kwargs["y1"]] += 1
+            assert len(stages[name]) == workers and (covered == 1).all(), name
     # a serial executor builds the same stages, with one task per row stage
     with Executor(left, right, params, threads=1) as ex:
         assert ex.pool is None
-        assert [name for name, _ in ex._stages] == list(timings)
+        assert [name for name, _ in ex._stages] == names
         assert all(len(tasks) == 1 for name, tasks in ex._stages if "&" not in name)
 
 
@@ -398,6 +408,86 @@ def test_a_frame_that_cannot_fit_fails_before_anything_is_allocated(monkeypatch,
     lp, rp, op = _write_pair(tmp_path)
     assert cli.run(["--left", str(lp), "--right", str(rp), "--output", str(op), "--threads", "2"]) == 2
     assert "MiB of memory is available" in capsys.readouterr().err
+    assert not op.exists()
+
+
+def _fake_cgroups(monkeypatch, root, entries: str, files: dict) -> None:
+    """Point the memory probe at a fake /proc/self/cgroup holding
+    ``entries`` and a fake cgroup mount under ``root`` holding ``files``
+    (path: content; content None makes a directory, which cannot be read)."""
+    root.mkdir(exist_ok=True)
+    (root / "cgroup").write_text(entries)
+    for name, content in files.items():
+        path = root / "fs" / name
+        if content is None:
+            path.mkdir(parents=True)
+        else:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(content)
+    monkeypatch.setattr(pipeline, "_PROC_CGROUP", str(root / "cgroup"))
+    monkeypatch.setattr(pipeline, "_CGROUP_ROOT", str(root / "fs"))
+
+
+_V2 = "0::/app\n"
+_V1 = "9:cpu,cpuacct:/\n4:memory:/jobs/x\n"
+_CGROUP_CASES = [
+    # cgroup v2: limit minus usage; "max" is no limit
+    (_V2, {"app/memory.max": "1000000\n", "app/memory.current": "400000\n"}, 600_000),
+    (_V2, {"app/memory.max": "max\n", "app/memory.current": "400000\n"}, None),
+    # cgroup v1: an unlimited cgroup reads 2**63 - 1 rounded down to a page
+    (_V1, {"memory/jobs/x/memory.limit_in_bytes": "5000\n", "memory/jobs/x/memory.usage_in_bytes": "1000\n"}, 4000),
+    (_V1, {"memory/jobs/x/memory.limit_in_bytes": "9223372036854771712\n",
+           "memory/jobs/x/memory.usage_in_bytes": "1000\n"}, None),
+    # usage over the limit leaves nothing
+    (_V1, {"memory/jobs/x/memory.limit_in_bytes": "5000\n", "memory/jobs/x/memory.usage_in_bytes": "6000\n"}, 0),
+    # a hybrid host lists both; the smaller figure counts
+    (_V1 + _V2, {"memory/jobs/x/memory.limit_in_bytes": "5000\n", "memory/jobs/x/memory.usage_in_bytes": "1000\n",
+                 "app/memory.max": "3000\n", "app/memory.current": "0\n"}, 3000),
+    # missing or unreadable files, garbage and other controllers are no limit
+    (_V2, {}, None),
+    (_V2, {"app/memory.max": None, "app/memory.current": "0\n"}, None),
+    (_V1, {"memory/jobs/x/memory.limit_in_bytes": "5000\n"}, None),
+    ("garbage\n9:cpu:/\n", {"memory.max": "10\n", "memory.current": "0\n"}, None),
+]
+
+
+@pytest.mark.parametrize(("entries", "files", "left"), _CGROUP_CASES)
+def test_the_memory_probe_reads_the_cgroup_limit(monkeypatch, tmp_path, entries, files, left):
+    _fake_cgroups(monkeypatch, tmp_path, entries, files)
+    assert pipeline.cgroup_memory_left() == left
+
+
+def test_available_memory_is_the_smaller_of_the_host_and_the_cgroup_figure(monkeypatch, tmp_path):
+    monkeypatch.setattr(pipeline, "_PROC_CGROUP", str(tmp_path / "missing"))
+    assert pipeline.cgroup_memory_left() is None
+    if pipeline.available_memory() is None:
+        pytest.skip("the host reports no available memory")
+    for left in (0, 12345):
+        monkeypatch.setattr(pipeline, "cgroup_memory_left", lambda: left)
+        assert pipeline.available_memory() == left
+    # a cgroup figure above the host's leaves the host's MemAvailable
+    monkeypatch.setattr(pipeline, "cgroup_memory_left", lambda: 2**61)
+    assert 0 < pipeline.available_memory() < 2**61
+
+
+def test_a_frame_over_the_cgroup_limit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
+    # a 64 MiB cgroup limit, far below the host's MemAvailable, with 16 MiB
+    # in use; the frame of the test above needs 78.8 MiB
+    frame = np.broadcast_to(np.uint8(0), (480, 640))
+    current = tmp_path / "cg" / "fs" / "app" / "memory.current"
+    _fake_cgroups(monkeypatch, tmp_path / "cg", _V2,
+                  {"app/memory.max": str(64 * 2**20), "app/memory.current": str(16 * 2**20)})
+    _refuse_every_allocation(monkeypatch)
+    for threads in (1, 2):
+        with pytest.raises(ConfigError, match=r"need 78\.8 MiB, but only 48\.0 MiB of memory is available"):
+            Executor(frame, frame, SgmParams(disparities=128, paths=8), threads=threads)
+    monkeypatch.undo()
+    # a cgroup at its limit leaves no room for even a small frame
+    current.write_text(str(64 * 2**20))
+    _fake_cgroups(monkeypatch, tmp_path / "cg", _V2, {})
+    lp, rp, op = _write_pair(tmp_path)
+    assert cli.run(["--left", str(lp), "--right", str(rp), "--output", str(op), "--threads", "2"]) == 2
+    assert "but only 0.0 MiB of memory is available" in capsys.readouterr().err
     assert not op.exists()
 
 

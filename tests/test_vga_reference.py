@@ -4,8 +4,12 @@ sum layouts, serially and on a pool.
 Every other differential test runs on small frames, which reach the real
 block sizes, row chunks and pool bands only by patching them.  Here the
 maps of ``Executor.run`` (all that ``compute_disparity`` does) are compared
-with the stage-API composition, which shares the walk with the pipeline but
-none of its layouts, keys, bands or tasks; and the sums the pipeline left
+with two references.  The stage-API composition shares the walk with the
+pipeline but none of its layouts, keys, bands or tasks.  The naive walker
+below shares nothing past the cost cube: it walks in int32, one step index
+at a time over every cell at that index, with no residuals, byte state,
+blocks, windows or transposes, so it sees faults of ``_walk`` that show
+only at the real block sizes and windows.  And the sums the pipeline left
 in its buffers must keep the bound paths * C <= S <= paths * (C + p2).
 """
 
@@ -45,6 +49,72 @@ def vga():
         return maps[params.paths]
 
     return left, right, costs, reference
+
+
+def naive_walk(costs: np.ndarray, direction: tuple[int, int], p1: int, p2: int) -> np.ndarray:
+    """Smoothed costs L of one direction in int32:
+    L(p, d) = C(p, d) + min(L'(d), L'(d - 1) + p1, L'(d + 1) + p1, min L' + p2) - min L',
+    where L' is L at the predecessor p - direction, and L = C at a path's
+    first cell.  Every cell at step index k (its number of predecessors in
+    the frame) is computed at once from the cells at k - 1."""
+    height, width, _ = costs.shape
+    rx, ry = direction
+    y, x = np.mgrid[:height, :width]
+    # the step index: how far a cell is from the frame edge the walk enters
+    step = np.minimum.reduce([a if r > 0 else n - 1 - a for r, a, n in ((rx, x, width), (ry, y, height)) if r])
+    order = np.argsort(step, axis=None, kind="stable")
+    bounds = np.searchsorted(step.ravel()[order], np.arange(step.max() + 2))
+    out = np.empty(costs.shape, np.int32)
+    for k in range(step.max() + 1):
+        cells = order[bounds[k] : bounds[k + 1]]
+        ys, xs = cells // width, cells % width
+        if k == 0:
+            out[ys, xs] = costs[ys, xs]
+            continue
+        prev = out[ys - ry, xs - rx]
+        low = prev.min(axis=1, keepdims=True)
+        best = np.minimum(prev, low + p2)
+        best[:, 1:] = np.minimum(best[:, 1:], prev[:, :-1] + p1)
+        best[:, :-1] = np.minimum(best[:, :-1], prev[:, 1:] + p1)
+        out[ys, xs] = costs[ys, xs] + best - low
+    return out
+
+
+def naive_median(disparity: np.ndarray) -> np.ndarray:
+    """3x3 median of every interior pixel over the nine shifted planes;
+    borders pass through."""
+    height, width = disparity.shape
+    planes = [disparity[1 + dy : height - 1 + dy, 1 + dx : width - 1 + dx] for dy in (-1, 0, 1) for dx in (-1, 0, 1)]
+    out = disparity.copy()
+    out[1:-1, 1:-1] = np.sort(np.stack(planes), axis=0)[4]
+    return out
+
+
+@pytest.fixture(scope="module")
+def naive_maps(vga):
+    """One map per path count from the naive walker.  The 2- and 4-path
+    direction sets are prefixes of the 8-path one, so one uint16 total of
+    the walks so far gives each path count's map as it is reached."""
+    costs = vga[2]
+    directions = SgmParams(paths=8).directions
+    assert all(SgmParams(paths=n).directions == directions[:n] for n in PATHS.values())
+    total = np.zeros(costs.shape, np.uint16)
+    maps = {}
+    for n, direction in enumerate(directions, 1):
+        np.add(total, naive_walk(costs, direction, 7, P2), out=total, casting="unsafe")
+        if n in PATHS.values():
+            maps[n] = naive_median(np.argmin(total, axis=2))
+    return maps
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize("layout", list(PATHS))
+def test_vga_frames_match_the_naive_walk(vga, naive_maps, layout, threads):
+    left, right, _, _ = vga
+    params = SgmParams(disparities=DISPARITIES, p1=7, p2=P2, paths=PATHS[layout])
+    with Executor(left, right, params, threads=threads) as ex:
+        assert (ex.pool is not None) == (threads == 2 and fork_available() and (os.cpu_count() or 1) >= 2)
+        assert (ex.run() == naive_maps[params.paths]).all()
 
 
 @pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
