@@ -3,7 +3,8 @@
 
 Each tree's ``sgmstereo`` package is copied to a temporary directory under
 its own name (``sgm_old``, ``sgm_new``), so both import side by side and
-pooled tasks pickle by their own module path.  One reused ``Executor`` per
+pooled tasks pickle by their own module path.  Both sides run the same
+``synthetic.shifted_pair`` of seed ``--seed``.  One reused ``Executor`` per
 side runs a warm-up frame, then ``--rounds`` timed frames; the side that
 runs first alternates every round.  Every map must be identical on both
 sides.  Printed per stage in frame order, then for the walks (every
@@ -13,7 +14,7 @@ quartiles in ms of each side, and in how many rounds the new side was
 faster.
 
     python scripts/stage_ab.py old/src src --width 320 --height 240 \\
-        --disparities 32 --paths 2 --threads 1 --rounds 150
+        --disparities 32 --paths 2 --threads 1 --rounds 150 --seed 0
 """
 
 import argparse
@@ -52,6 +53,7 @@ def main() -> None:
     parser.add_argument("--paths", type=int, default=4)
     parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--rounds", type=int, default=16)
+    parser.add_argument("--seed", type=int, default=0, help="seed of the synthetic pair both trees run")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -59,7 +61,7 @@ def main() -> None:
         modules = {side: load_tree(src, f"sgm_{side}", Path(tmp))
                    for side, src in zip(SIDES, (args.old, args.new))}
         left, right = importlib.import_module("sgm_new.synthetic").shifted_pair(
-            args.width, args.height, args.disparities // 4)
+            args.width, args.height, args.disparities // 4, seed=args.seed)
         executors = {}
         try:
             for side, (pipeline, params) in modules.items():
@@ -88,7 +90,7 @@ def main() -> None:
 
     print(f"stage_ab: {args.width}x{args.height} D={args.disparities} paths={args.paths} "
           f"threads={args.threads} (workers old {workers['old']}, new {workers['new']}) "
-          f"rounds={args.rounds}, maps identical")
+          f"seed={args.seed} rounds={args.rounds}, maps identical")
     # frame order: a stage at its position in its own tree's list (the later
     # of the two where both trees run it), then the walks and the frame
     position: dict[str, int] = {}

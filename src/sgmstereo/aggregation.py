@@ -28,12 +28,11 @@ capped before p1 is added, and no intermediate exceeds p2 <= 224.
 
 Lines are mutually independent: the lines of a direction are relaxed
 together as one vectorised front, and any range of them can be processed by
-an independent worker with bit-identical results.  Steps are not, but the
-state is all a walk carries from one step to the next: a walk can stop after
-any step and resume from the state it left, over the remaining steps, again
-with bit-identical results.  Each step's row of cells belongs to that step
-alone, so a direction and its opposite can walk disjoint step ranges at
-once: the first half of each direction's walk order, then the second.
+an independent worker with bit-identical results.  A direction and its
+opposite cross the same cells along the same lines, so one walk can take a
+range of lines of both: the direction from its first row, its opposite from
+its last, in lockstep, relaxed together.  Every cell is then visited
+twice, first by whichever of the two reaches it first.
 """
 
 from __future__ import annotations
@@ -123,60 +122,50 @@ def line_count(height: int, width: int, direction: Direction) -> int:
     return height if ry == 0 else width + abs(rx) * (height - 1)
 
 
-def step_count(height: int, width: int, direction: Direction) -> int:
-    """Number of rows a direction's walk steps over: the columns W for
-    horizontal, else the rows H."""
-    return width if direction[1] == 0 else height
-
-
-def walks_up(direction: Direction) -> bool:
-    """Whether a direction walks its rows from 0 up, else from the last
-    down."""
-    rx, ry = direction
-    return (rx if ry == 0 else ry) > 0
-
-
 def _walk(
     mc: np.ndarray, direction: Direction, p1: int, p2: int, lo: int, hi: int, smoothed: bool = False,
-    steps: tuple[int, int] | None = None, state: np.ndarray | None = None,
-) -> Iterator[tuple[tuple[slice, slice], np.ndarray]]:
-    """Walk the lines [lo, hi) of ``direction`` over the rows ``steps``
-    (default: all), yielding ``(index, block)``: the residuals L - C of the
-    cells ``mc[index]``, or with ``smoothed`` their smoothed costs L, in
-    ``mc``'s orientation.  ``mc`` is a byte cube or a uint16 cube of packed
-    cells.  The block buffer is reused by the next yield, so consumers must
-    copy or fold it before advancing.  The walk reads no cost of
-    ``mc[index]`` after yielding it, so a consumer may also overwrite those
-    cells.
+    paired: bool = False,
+) -> Iterator[tuple[tuple[slice, slice], np.ndarray, bool]]:
+    """Walk the lines [lo, hi) of ``direction``, and with ``paired`` the
+    same lines of its opposite, yielding ``(index, block, second)``: the
+    residuals L - C of the cells ``mc[index]``, or with ``smoothed`` their
+    smoothed costs L, in ``mc``'s orientation, and whether the pair's other
+    direction reached those cells first.  ``mc`` is a byte cube or a uint16
+    cube of packed cells.  The block buffer is reused by the next yield, so
+    consumers must copy or fold it before advancing.  The walk reads no
+    cost of a cell again once it has yielded the cell's last visit: a
+    consumer may overwrite the cells of a block yielded with ``second``
+    set, or of any block of a walk that is not paired.
 
-    Every direction walks down the rows of a (rows, cols, D) view: ``mc``,
-    or for a horizontal direction its transpose.  A diagonal line moves
-    shear = rx * ry columns per row: line k crosses row r at column
-    k + shear * r, less rows - 1 when shear > 0.  Line k keeps slot k - lo
-    of ``state``, which holds the smoothed costs of the line's last cell:
-    zeros by default, or the caller's contiguous (hi - lo, D) byte block,
-    which the walk leaves holding the smoothed costs of the last cells it
-    walked.  A non-empty range that starts the walk (row 0 walking up, the
-    last row walking down) zeroes that block first, whatever it holds; any
-    other range continues from it.  The slots whose lines cross a row form
-    a window that slides by at most one slot per row, and each slot enters
-    it once, still zero unless an earlier walk of the same lines left it a
-    state.  Each step relaxes the window in place, emits it, and adds the
-    row's costs in.  So a walk over the rows [s0, s1), in its own order,
-    followed by one over the rest from the state it left, equals one walk
-    over all rows; and a walk over all lines walks each cell of its rows
-    once.
+    Every direction walks the rows of a (rows, cols, D) view: ``mc``, or
+    for a horizontal direction its transpose.  A walk's step i visits row
+    i walking up and row rows - 1 - i walking down, and a pair's two
+    directions take step i together.  Its first visits are the direction's
+    steps below (rows + 1) // 2 and its opposite's below rows // 2, so the
+    middle row of an odd count is first visited by the direction, and the
+    blocks of steps are cut there.  A diagonal line moves shear = rx * ry
+    columns per row: line k crosses row r at column k + shear * r, less
+    rows - 1 when shear > 0.  Line k of side j (the direction, then its
+    opposite) keeps slot j * (hi - lo) + k - lo of the state, which holds
+    the smoothed costs of the line's last cell, zeros before its first.
+    The slots of a side whose lines cross a row form a window that slides
+    by at most one slot per row, and each slot enters it once, still zero.
+    Each step relaxes the windows in place, emits them, and adds the row's
+    costs in.  So a walk over all lines walks each cell of its rows once a
+    direction.
 
-    An unsheared walk relaxes a block of rows (512 KiB) per yield; a
-    sheared window moves every row, so a diagonal yields one row at a time.
-    The relax step's operands, views of the window and of the scratch, are
-    built once per window: once for an unsheared walk, whose window is
-    every line, and once per row for a sheared one.
-    The block buffers keep ``mc``'s own (H, W, D) order, so a horizontal
-    walk gathers its costs and yields its results as runs of whole block
-    rows, and each of its steps adds and emits strided views of them.  A
-    walk over packed cells reads a block's costs out of them in one
-    narrowing pass, which for a horizontal walk is its gather.
+    An unsheared walk relaxes a block of steps (512 KiB of both sides'
+    fronts) per yield, and its windows are every line of both sides, one
+    contiguous front; a sheared window moves every row, so a diagonal
+    relaxes each side's window on its own and yields one row at a time.
+    The relax step's operands, views of a window and of the scratch, are
+    built once per window: once for an unsheared walk and once per row and
+    side for a sheared one.  The block buffers keep ``mc``'s own (H, W, D)
+    order, so a horizontal walk gathers its costs and yields its results
+    as runs of whole block rows, and each of its steps adds and emits
+    strided views of them.  A walk over packed cells reads a block's costs
+    out of them in one narrowing pass, which for a horizontal walk is its
+    gather.
     """
     rx, ry = direction
     transposed = ry == 0
@@ -184,54 +173,63 @@ def _walk(
     step, shear = (rx, 0) if transposed else (ry, rx * ry)
     rows, cols, disparities = view.shape
     offset = rows - 1 if shear > 0 else 0
-    s0, s1 = (0, rows) if steps is None else steps
     front = hi - lo
-    if front == 0 or s0 >= s1:
+    if front == 0:
         return
-    if state is None:
-        state = np.zeros((front, disparities), np.uint8)
-    elif (s0 == 0) if step > 0 else (s1 == rows):
-        state.fill(0)  # the range starts the walk, whatever the state holds
-    s = _Scratch(min(front, cols), disparities, p1, p2)
-    block = 1 if shear else max(1, min(s1 - s0, _BLOCK_BYTES // (front * disparities)))
+    sides = (step, -step) if paired else (step,)
+    firsts = ((rows + 1) // 2, rows // 2) if paired else (rows,)
+    cuts = sorted({0, *firsts, rows})
+    lines = len(sides) * front
+    state = np.zeros((lines, disparities), np.uint8)
+    s = _Scratch(min(front, cols) if shear else lines, disparities, p1, p2)
+    block = 1 if shear else max(1, min(rows, _BLOCK_BYTES // (lines * disparities)))
 
     def block_buffer() -> np.ndarray:
         if transposed:
-            return np.empty((front, block, disparities), dtype=np.uint8).transpose(1, 0, 2)
-        return np.empty((block, front, disparities), dtype=np.uint8)
+            return np.empty((lines, block, disparities), dtype=np.uint8).transpose(1, 0, 2)
+        return np.empty((block, lines, disparities), dtype=np.uint8)
 
     packed = mc.dtype == np.uint16
     fronts = block_buffer()
     costs = block_buffer() if transposed or packed else None
-    starts, operands = range(s0, s1, block), None
-    for r0 in starts if step > 0 else reversed(starts):
-        r1 = min(r0 + block, s1)
-        c0 = lo + shear * r0 - offset  # column of slot 0 in row r0
-        a, b = max(0, -c0), min(front, cols - c0)
-        if a >= b:
-            continue  # no line of the range crosses this row
-        block_cost = view[r0:r1, c0 + a : c0 + b]
-        if costs is not None:
-            cells, block_cost = block_cost, costs[: r1 - r0, a:b]
-            if packed:
-                np.right_shift(cells, SUM_BITS, out=block_cost, casting="unsafe")
-            else:
-                np.copyto(block_cost, cells)
-        lines, window = state[a:b], fronts[: r1 - r0, a:b]
-        if shear or operands is None:  # an unsheared window is all the lines
-            operands = _operands(lines, s)
-        for i in range(r1 - r0) if step > 0 else range(r1 - r0 - 1, -1, -1):
-            _step(*operands)
-            if smoothed:
-                np.add(lines, block_cost[i], out=lines)
-                np.copyto(window[i], lines)
-            else:
-                np.copyto(window[i], lines)
-                np.add(lines, block_cost[i], out=lines)
-        if transposed:
-            yield (slice(c0 + a, c0 + b), slice(r0, r1)), window.transpose(1, 0, 2)
-        else:
-            yield (slice(r0, r1), slice(c0 + a, c0 + b)), window
+    relax = None if shear else [_operands(state, s)]  # an unsheared window is every line
+    blocks = [(i, min(i + block, end)) for start, end in zip(cuts, cuts[1:]) for i in range(start, end, block)]
+    for i0, i1 in blocks:
+        n, walks, emits = i1 - i0, [], []
+        for j, side in enumerate(sides):
+            r0 = i0 if side > 0 else rows - i1
+            c0 = lo + shear * r0 - offset  # column of the side's first slot in row r0
+            a, b = max(0, -c0), min(front, cols - c0)
+            if a >= b:
+                continue  # no line of the range crosses this row
+            slots = slice(j * front + a, j * front + b)
+            index = (slice(r0, r0 + n), slice(c0 + a, c0 + b))
+            block_cost, emitted = view[index], fronts[:n, slots]
+            if costs is not None:
+                cells, block_cost = block_cost, costs[:n, slots]
+                if packed:
+                    np.right_shift(cells, SUM_BITS, out=block_cost, casting="unsafe")
+                else:
+                    np.copyto(block_cost, cells)
+            # the block's rows in the side's step order
+            order = slice(None, None, side)
+            walks.append((state[slots], block_cost[order], emitted[order]))
+            if transposed:
+                index, emitted = index[::-1], emitted.transpose(1, 0, 2)
+            emits.append((index, emitted, i0 >= firsts[j]))
+        if shear:
+            relax = [_operands(window, s) for window, _, _ in walks]
+        for i in range(n):
+            for operands in relax:
+                _step(*operands)
+            for window, block_cost, emitted in walks:
+                if smoothed:
+                    np.add(window, block_cost[i], out=window)
+                    np.copyto(emitted[i], window)
+                else:
+                    np.copyto(emitted[i], window)
+                    np.add(window, block_cost[i], out=window)
+        yield from emits
 
 
 def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
@@ -251,7 +249,7 @@ def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
 def aggregate_lines(
     mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int,
     lo: int = 0, hi: int | None = None, add: bool = False, costs: int = 1,
-    steps: tuple[int, int] | None = None, state: np.ndarray | None = None,
+    second: tuple[np.ndarray, bool, int] | None = None,
 ) -> None:
     """Aggregate the lines [lo, hi) of one direction, writing r + costs * C
     into ``out`` or, with ``add``, adding it: by default the smoothed costs
@@ -261,24 +259,27 @@ def aggregate_lines(
     for horizontal, columns for vertical, and x - rx * ry * y shifted to
     start at 0 for a diagonal.  Every selected line is a complete path, so
     chunked and single-call execution agree bit for bit, and an empty range
-    writes nothing.  ``steps=(s0, s1)`` walks only the rows [s0, s1) of the
-    walk (``step_count`` of them; columns for a horizontal direction), and
-    ``state``, a contiguous (hi - lo, D) byte block, carries the lines'
-    smoothed costs from one call to the next (see ``_walk``): one call per
-    step range in the direction's walk order (``walks_up``) equals one call
-    over every row.  The call whose range starts the walk zeroes the state
-    first, so the state may hold anything before it.  ``out`` may be wider
-    than uint8, and it may be ``mc`` itself, whose walked costs then become
-    r + costs * C.  Above ``costs=1`` that sum is formed in bytes, so it
-    must stay <= 255, and it cannot be added.  A uint16 ``mc`` holds packed
-    cells (see params.SUM_BITS), and adding into ``mc`` itself adds into
-    their sum bits, as the pipeline does for every direction.
+    writes nothing.  With ``second``, an ``(out, add, costs)`` triple, the
+    same lines of the opposite direction walk too, in lockstep (see
+    ``_walk``): each cell's first visit of the two goes to ``out`` as
+    above and its second as ``second`` says, so the pair walks every cell
+    twice.  Both visits must emit the same kind, smoothed (``costs=1``) or
+    residual.  ``out`` may be wider than uint8, and it may be ``mc``
+    itself, whose walked costs then become r + costs * C; for a pair, only
+    its second visits may do that.  Above ``costs=1`` that sum is formed in
+    bytes, so it must stay <= 255, and it cannot be added.  A uint16 ``mc``
+    holds packed cells (see params.SUM_BITS), and adding into ``mc`` itself
+    adds into their sum bits, as the pipeline does for every direction.
     """
-    if add and costs > 1:
-        raise ValueError(f"add takes costs 0 or 1, got {costs}")
+    visits = ((out, add, costs),) if second is None else ((out, add, costs), second)
+    if any(adds and k > 1 for _, adds, k in visits):
+        raise ValueError(f"add takes costs 0 or 1, got {[k for _, _, k in visits]}")
+    if len({k == 1 for _, _, k in visits}) > 1:
+        raise ValueError(f"a pair's visits both take costs 1 or neither, got {[k for _, _, k in visits]}")
     if hi is None:
         hi = line_count(mc.shape[0], mc.shape[1], direction)
-    for index, block in _walk(mc, direction, p1, p2, lo, hi, costs == 1, steps, state):
+    for index, block, later in _walk(mc, direction, p1, p2, lo, hi, costs == 1, second is not None):
+        out, add, costs = visits[later]
         if add or costs > 1:
             part = out[index]
             if costs > 1:

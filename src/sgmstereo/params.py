@@ -45,12 +45,12 @@ def sum_volumes(directions: tuple[Direction, ...], p2: int) -> str:
       smoothed cost is at most MAX_COST + p2, so this holds when
       paths <= 255 // (MAX_COST + p2), as at 2 paths and p2 <= 96.
     * ``"fold"``: a smoothed cost L is its matching cost C plus a residual r
-      in [0, p2], so the sum is S = paths * C + sum(r).  The pipeline walks
-      every cell once in each of paths walk stages.  When one byte holds
-      the residuals of every stage but the last (paths - 1 <= 255 // p2)
-      and one residual plus paths * C fits a byte
+      in [0, p2], so the sum is S = paths * C + sum(r).  The pipeline's
+      walks visit every cell paths times, once per direction.  When one
+      byte holds the residuals of every visit but the last
+      (paths - 1 <= 255 // p2) and one residual plus paths * C fits a byte
       (paths * MAX_COST + p2 <= 255), one byte volume sums those residuals,
-      the last walk stage overwrites the byte cost cube with its
+      each cell's last visit overwrites its byte in the cost cube with
       r + paths * C, and S is the volume plus the cube.
     * ``"packed"``: otherwise the cost cube is uint16, each cell packing C
       above S (see COST_BITS), and every direction adds its smoothed costs

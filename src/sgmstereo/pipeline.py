@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregation import aggregate_lines, line_count, step_count, walks_up
+from .aggregation import aggregate_lines, line_count
 from .census import census_rows
 from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
@@ -62,7 +62,7 @@ class BenchReport:
     def lines(self) -> list[str]:
         out = [f"bench: iterations={self.iterations} threads={self.threads}"]
         for name, ms in self.stage_ms.items():
-            # a pair's phases read "aggregate(+1,+0)&(-1,+0) 1/2"
+            # a direction walked with its opposite reads "aggregate(+1,+0)&(-1,+0)"
             out.append(f"stage {name:<28s} mean {ms:8.3f} ms")
         out.append(f"end-to-end {self.frame_ms:.3f} ms/frame, {self.fps:.2f} fps, "
                    f"buffers {self.buffer_mb:.2f} MiB")
@@ -79,8 +79,9 @@ class PipelineResult:
 def available_memory() -> int | None:
     """Bytes of memory available to the process's new allocations: the
     smaller of what the kernel reports as available (``MemAvailable`` in
-    /proc/meminfo) and what the process's cgroup memory limit leaves (see
-    ``cgroup_memory_left``), or None where neither can be read."""
+    /proc/meminfo) and what the memory limits of the process's cgroups
+    leave (see ``cgroup_memory_left``), or None where neither can be
+    read."""
     left = cgroup_memory_left()
     try:
         with open("/proc/meminfo") as meminfo:
@@ -102,12 +103,14 @@ _NO_LIMIT = 2**62
 
 
 def cgroup_memory_left() -> int | None:
-    """Bytes the memory limit of the process's own cgroup leaves unused:
-    ``memory.max`` minus ``memory.current`` under cgroup v2, or
+    """Bytes the memory limits of the process's cgroups leave unused: the
+    smallest headroom over its own cgroup and every ancestor up to the
+    root, ``memory.max`` minus ``memory.current`` under cgroup v2 and
     ``memory.limit_in_bytes`` minus ``memory.usage_in_bytes`` under v1,
-    the smaller where both read.  None where no limit is set (``max``, or a
-    v1 limit near 2**63) or the files cannot be read.  Usage counts the
-    cgroup's page cache, so this can understate what reclaim would free."""
+    where both are mounted over both.  None where no limit is set (``max``,
+    or a v1 limit near 2**63) or the files cannot be read.  Usage counts
+    the cgroups' page cache, so this can understate what reclaim would
+    free."""
     try:
         with open(_PROC_CGROUP) as entries:
             lines = entries.read().splitlines()
@@ -127,13 +130,15 @@ def cgroup_memory_left() -> int | None:
             limit_file, usage_file = "memory.limit_in_bytes", "memory.usage_in_bytes"
         else:
             continue
-        directory = Path(base, path.lstrip("/"))
-        try:
-            limit = int((directory / limit_file).read_text())
-            if limit < _NO_LIMIT:
-                left.append(max(0, limit - int((directory / usage_file).read_text())))
-        except (OSError, ValueError):  # missing, unreadable, or "max"
-            continue
+        parts = [part for part in path.split("/") if part]
+        for depth in range(len(parts), -1, -1):  # the cgroup, its parent, ..., the root
+            directory = Path(base, *parts[:depth])
+            try:
+                limit = int((directory / limit_file).read_text())
+                if limit < _NO_LIMIT:
+                    left.append(max(0, limit - int((directory / usage_file).read_text())))
+            except (OSError, ValueError):  # missing, unreadable, or "max"
+                continue
     return min(left, default=None)
 
 
@@ -158,12 +163,10 @@ def _mc_task(bufs: Buffers, y0: int, y1: int) -> None:
 
 
 def _aggregate_task(bufs: Buffers, direction: Direction, p1: int, p2: int, lo: int, hi: int,
-                    dst: str, add: bool, costs: int, steps: tuple[int, int] | None = None,
-                    slot: int | None = None) -> None:
-    # a half-walk carries its lines' state in its slot of "walk_state" from
-    # the first half to the second; the walk zeroes it where it starts
-    state = None if slot is None else bufs["walk_state"][slot, lo:hi]
-    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add, costs, steps, state)
+                    dst: str, add: bool, costs: int, second: tuple[str, bool, int] | None = None) -> None:
+    # with ``second``, the opposite direction walks the same lines in lockstep
+    then = None if second is None else (bufs[second[0]], *second[1:])
+    aggregate_lines(bufs["mc"], bufs[dst], direction, p1, p2, lo, hi, add, costs, then)
 
 
 def _select_task(bufs: Buffers, sums: tuple[str, ...], y0: int, y1: int) -> None:
@@ -181,32 +184,31 @@ class Executor:
 
     ``buffers`` holds only what crosses stages: the images ``"left"`` and
     ``"right"``, the cost cube ``"mc"``, the byte volume ``"cost_sum"``
-    unless the cells are packed, ``"disp_raw"``, with the median
-    ``"disp_out"`` and, where the layout pairs directions, ``"walk_state"``.
-    How the directions are summed sets the cube's layout (see
-    ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the matching
-    costs C in bytes beside the sums in ``"cost_sum"``; or, where the last
-    walk stage folds into it, one residual r plus paths * C; or uint16
-    cells that hold C in their cost bits above the sum over every
+    unless the cells are packed, ``"disp_raw"`` and, with the median,
+    ``"disp_out"``.  How the directions are summed sets the cube's layout
+    (see ``params.sum_volumes``).  After ``run()``, ``"mc"`` holds the
+    matching costs C in bytes beside the sums in ``"cost_sum"``; or, where
+    each cell's last visit folds into it, one residual r plus paths * C; or
+    uint16 cells that hold C in their cost bits above the sum over every
     direction.
 
     The stages are built once, each a name and the tasks that write its
     disjoint parts: census words and costs, the walks, selection and the
-    median.  Every executor builds the same stage list.  Opposite
-    directions pair up: each pair runs two stages of two half-walks, a
-    whole front over half the steps each, so a walk pays each step's fixed
-    numpy cost once per front.  A direction with no opposite, as at 2
-    paths, is one stage.  So every walk stage walks each cell once.  A
-    pool changes only the tasks: it cuts each row stage into one row range
-    per worker and each walk of a stage into one band of lines per worker,
-    or with a pair's two half-walks, per two workers, so a pooled stage
+    median.  Every executor builds the same stage list.  A direction and
+    its opposite walk as one stage, in lockstep over the same lines, so
+    each step relaxes both fronts in one call; a direction with no
+    opposite, as at 2 paths, is a stage of its own.  A pool changes only
+    the tasks: it cuts each row stage into one row range per worker and
+    each walk stage into one band of lines per worker, so a pooled stage
     runs at most one task per worker.  ``run()`` runs the stages in order,
     so every frame rebuilds C first.  Buffers that would not fit, with the
     census words a frame's cost tasks build, in the memory available to the
     process (``available_memory``: the host's ``MemAvailable``, or less
-    where the process's cgroup memory limit leaves less) raise
-    ``ConfigError`` before any allocation.  Not counted: the cost tasks'
-    block scratch, at most 1 MiB or one row's 4 * W * D bytes a task.
+    where the limits of the process's cgroup and its ancestors leave less)
+    raise ``ConfigError`` before any allocation.  Not counted: the tasks'
+    own scratch, the cost tasks' blocks of at most 1 MiB or one row's
+    4 * W * D bytes, and a walk's state, relax planes and block buffers,
+    under 2 MiB a task at 640x480 and D=128.
     """
 
     # below this many volume cells the fork/dispatch overhead outweighs any
@@ -241,7 +243,7 @@ class Executor:
             self.workers = 1
 
         # S(p, d), the sum over directions of the smoothed costs: in one byte
-        # volume where a byte holds it, or there with the last walk stage
+        # volume where a byte holds it, or there with each cell's last visit
         # folded into "mc", or in the sum bits of "mc"; see params.sum_volumes
         layout = sum_volumes(params.directions, params.p2)
         packed, fold = layout == "packed", layout == "fold"
@@ -257,31 +259,6 @@ class Executor:
             declared["cost_sum"] = (volume, np.uint8)
         if median:
             declared["disp_out"] = (frame, np.uint8)
-        # the walk stages, each a name and its walks (direction, steps,
-        # slot), which together walk every cell once.  A direction and its
-        # opposite pair up in two phases of two half-walks, each a whole
-        # front over half the steps: in phase 1 the direction's first half
-        # and its opposite's, which meet in the middle; in phase 2 the
-        # other halves, each continuing from its slot's state.  A direction
-        # with no opposite, as at 2 paths, walks whole in one stage
-        directions = params.directions
-        walk_stages = []
-        for i, direction in enumerate(directions):
-            opposite = _opposite(direction)
-            if opposite in directions[i + 1:]:
-                n = step_count(height, width, direction)
-                halves = [(0, n // 2), (n // 2, n)] if walks_up(direction) else [(n // 2, n), (0, n // 2)]
-                walk_stages += [(f"{_direction_name(direction, opposite)} {phase + 1}/2",
-                                 [(d, halves[phase ^ slot], slot) for slot, d in enumerate((direction, opposite))])
-                                for phase in (0, 1)]
-            elif opposite not in directions:
-                walk_stages.append((_direction_name(direction), [(direction, None, None)]))
-        # a pair's two half-walks keep their lines' state between phases, a
-        # slot each, as long as the pairs' longest front
-        paired = [d for _, walks in walk_stages for d, _, slot in walks if slot is not None]
-        if paired:
-            front = max(line_count(height, width, d) for d in paired)
-            declared["walk_state"] = ((2, front, params.disparities), np.uint8)
         # plus the census words of the rows in flight (one frame's at most,
         # the whole frame's serially): counted for any thread count, so
         # every thread count needs the same memory
@@ -297,30 +274,39 @@ class Executor:
         np.copyto(bufs["right"], right)
         self.buffers = bufs
 
-        # since every walk stage walks each cell once, its place in the list
-        # sets what it does to the sum.  Into packed cells, whose sums start
-        # at 0, every stage adds.  Into the byte volume, the first stage
-        # writes and the others add: residuals when folding, else smoothed
-        # costs; but when folding, the last stage turns each walked cost C
-        # in "mc" into r + paths * C, which no later walk reads.  A stage
-        # cuts each of its walks into workers // len(walks) bands of lines
-        # and a row stage its rows into one range per worker: at most one
-        # task per worker a stage
+        # the walk stages: a direction and its opposite walk each band of
+        # lines in lockstep as one stage, and a direction with no opposite,
+        # as at 2 paths, walks alone.  Each direction visits every cell once,
+        # so a visit's place among a cell's paths visits sets what it does
+        # to the sum.  Into packed cells, whose sums start at 0, every visit
+        # adds.  Into the byte volume, the first visit writes and the others
+        # add: residuals when folding, else smoothed costs; but when
+        # folding, the last visit turns the cell's cost C in "mc" into
+        # r + paths * C, which no later visit reads.  A walk stage cuts its
+        # lines into one band per worker and a row stage its rows into one
+        # range per worker: at most one task per worker a stage
+        def visit(v: int) -> tuple[str, bool, int]:
+            if fold and v == params.paths - 1:
+                return "mc", False, params.paths
+            return "mc" if packed else "cost_sum", packed or v > 0, 0 if fold else 1
+
         sums = ("mc",) if packed else ("cost_sum", "mc") if fold else ("cost_sum",)
         rows = split_ranges(height, self.workers)
         # census words and matching costs, one row range per task
         self._stages: list[tuple[str, list[Task]]] = [
             ("matching_cost", [(_mc_task, dict(y0=y0, y1=y1)) for y0, y1 in rows])]
-        for i, (name, walks) in enumerate(walk_stages):
-            if fold and i == len(walk_stages) - 1:
-                dst, add, costs = "mc", False, params.paths
-            else:
-                dst, add, costs = "mc" if packed else "cost_sum", packed or i > 0, 0 if fold else 1
-            self._stages.append((name, [
+        walked: list[Direction] = []  # one visit of every cell each
+        for d in params.directions:
+            if d in walked:
+                continue  # with its opposite
+            pair = (d, _opposite(d)) if _opposite(d) in params.directions else (d,)
+            dst, add, costs = visit(len(walked))
+            second = visit(len(walked) + 1) if len(pair) == 2 else None
+            walked += pair
+            self._stages.append((_direction_name(*pair), [
                 (_aggregate_task, dict(direction=d, p1=params.p1, p2=params.p2, lo=lo, hi=hi, dst=dst, add=add,
-                                       costs=costs, steps=steps, slot=slot))
-                for d, steps, slot in walks
-                for lo, hi in split_ranges(line_count(height, width, d), self.workers // len(walks))]))
+                                       costs=costs, second=second))
+                for lo, hi in split_ranges(line_count(height, width, d), self.workers)]))
         self._stages.append(("selection", [(_select_task, dict(sums=sums, y0=y0, y1=y1)) for y0, y1 in rows]))
         if median:
             self._stages.append(("median", [(_median_task, dict(y0=y0, y1=y1)) for y0, y1 in rows]))

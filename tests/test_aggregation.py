@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 
 from sgmstereo import PATH_SETS, SgmParams, aggregate_all, aggregate_path, matching_cost
 from sgmstereo import aggregation
-from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines, line_count, step_count, walks_up
+from sgmstereo.aggregation import _relax, _Scratch, aggregate_lines, line_count
 from sgmstereo.oracle import oracle_sgm
 from sgmstereo.params import SUM_BITS
 
@@ -202,12 +202,15 @@ def test_relax_matches_per_cell_formula(case, spare):
 
 def _clobbering(walk):
     """``walk``, with a consumer that overwrites the walked cells with 255
-    after every yield, as a fold into the cost volume does."""
+    after every yield that ends their visits, as a fold into the cost
+    volume does: every yield of a walk that is not paired, and the second
+    visits of a pair."""
 
-    def clobbered(mc, *args, **kwargs):
-        for index, block in walk(mc, *args, **kwargs):
-            yield index, block
-            mc[index] = 255
+    def clobbered(mc, direction, p1, p2, lo, hi, smoothed=False, paired=False):
+        for index, block, second in walk(mc, direction, p1, p2, lo, hi, smoothed, paired):
+            yield index, block, second
+            if second or not paired:
+                mc[index] = 255
 
     return clobbered
 
@@ -236,10 +239,10 @@ def _walk_blocks(monkeypatch, block_bytes, seed, costs):
         lines = line_count(mc.shape[0], mc.shape[1], direction)
         for expected, emits_smoothed in ((residuals, False), (smoothed, True)):
             args = (direction, params.p1, params.p2, 0, lines, emits_smoothed)
-            byte_blocks = [(index, block.copy()) for index, block in walk(mc.copy(), *args)]
+            byte_blocks = [(index, block.copy()) for index, block, _ in walk(mc.copy(), *args)]
             cells = mc.astype(np.uint16) << SUM_BITS
             packed_blocks = []
-            for index, block in walk(cells, *args):
+            for index, block, _ in walk(cells, *args):
                 packed_blocks.append((index, block.copy()))
                 np.add(cells[index], block, out=cells[index])
             assert len(packed_blocks) == len(byte_blocks), direction
@@ -270,45 +273,68 @@ def _fold_factor(p2: int) -> int:
     return (255 - p2) // 31
 
 
-@pytest.mark.parametrize("block_bytes", [1, 100])
-def test_walks_split_at_a_step_continue_from_their_state(monkeypatch, block_bytes):
-    # a walk stopped after any step and resumed over the other steps from
-    # the state it left equals one whole call: split after no step, the
-    # first, all but the last and every step (so one half is empty), over
-    # all lines and over two bands of lines with a state each.  The range
-    # that starts the walk starts from zeros, whatever the state held
-    # before: zeros, or random bytes (a constant such as 255 would not
-    # show it, since any constant line relaxes to zeros).  Byte cubes write
-    # each costs; packed cells add into their own sum bits, as the
-    # pipeline's walks do
-    monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
-    rng = np.random.default_rng(12)
-    mc = rng.integers(0, 32, (5, 7, 4), np.uint8)
-    p1, p2 = 3, 40
-    fold = _fold_factor(p2)
-    for direction in ALL_DIRECTIONS:
-        rows = step_count(*mc.shape[:2], direction)
-        lines = line_count(*mc.shape[:2], direction)
-        cases = [(mc, dict(costs=k)) for k in (0, 1, fold)]
-        cases += [(mc.astype(np.uint16) << SUM_BITS, dict(costs=k, add=True)) for k in (0, 1)]
-        for cube, kwargs in cases:
-            in_place = kwargs.get("add", False)
-            whole = cube.copy() if in_place else np.zeros_like(cube)
-            aggregate_lines(whole if in_place else cube, whole, direction, p1, p2, **kwargs)
-            for cut in sorted({0, 1, rows - 1, rows}):
-                halves = [(0, cut), (cut, rows)] if walks_up(direction) else [(cut, rows), (0, cut)]
-                for bands in ([(0, lines)], [(0, lines // 2), (lines // 2, lines)]):
-                    for garbage in (False, True):
-                        split = cube.copy() if in_place else np.zeros_like(cube)
-                        for lo, hi in bands:
-                            state = np.zeros((hi - lo, mc.shape[2]), np.uint8)
-                            if garbage:
-                                state[:] = rng.integers(0, 256, state.shape)
-                            for steps in halves:
-                                aggregate_lines(split if in_place else cube, split, direction, p1, p2,
-                                                lo, hi, steps=steps, state=state, **kwargs)
-                        assert (split == whole).all(), (direction, kwargs, cut, bands, garbage)
+def _reached_first(height: int, width: int, direction) -> np.ndarray:
+    """The cells of a height x width frame that ``direction`` reaches
+    before its opposite: those in the first half of its steps, the middle
+    step of an odd count included."""
+    rx, ry = direction
+    y, x = np.mgrid[:height, :width]
+    step, steps = (x if rx > 0 else width - 1 - x, width) if ry == 0 else (y if ry > 0 else height - 1 - y, height)
+    return step < (steps + 1) // 2
 
+
+@pytest.mark.parametrize("block_bytes", [1, 100])
+def test_paired_walks_match_two_whole_walks(monkeypatch, block_bytes):
+    # a direction and its opposite walked in lockstep over the same lines
+    # give every cell both directions' whole walks: the first visit, where
+    # the direction reaches the cell first, the second elsewhere.  Odd and
+    # even step counts, over all lines and over bands.  Visits written to
+    # two volumes, with a consumer that clobbers the costs a pair has
+    # finished with; to one, the first writing and the second adding; the
+    # fold (residuals written into a sum, then
+    # r + k * C over the cube itself); and packed cells that add both
+    # visits into their own sum bits, as the pipeline's walks do
+    monkeypatch.setattr(aggregation, "_BLOCK_BYTES", block_bytes)
+    walk = aggregation._walk
+    rng = np.random.default_rng(12)
+    params = SgmParams(disparities=4, p1=3, p2=40, paths=8)
+    p1, p2, fold = params.p1, params.p2, _fold_factor(params.p2)
+    for height, width in ((5, 7), (6, 8)):
+        mc = rng.integers(0, 32, (height, width, 4), np.uint8)
+        for direction in ALL_DIRECTIONS:
+            opposite = (-direction[0], -direction[1])
+            early = _reached_first(height, width, direction)[..., None]
+            residuals = [oracle_sgm(mc, d, params) - mc for d in (direction, opposite)]
+            lines = line_count(height, width, direction)
+            for bands in ([(0, lines)], [(0, lines // 2), (lines // 2, lines)], [(0, 1), (1, 3), (3, lines)]):
+                for k in (0, 1):
+                    first, second = np.zeros_like(mc), np.zeros_like(mc)
+                    with monkeypatch.context() as m:
+                        m.setattr(aggregation, "_walk", _clobbering(walk))
+                        walked = mc.copy()
+                        for lo, hi in bands:
+                            aggregate_lines(walked, first, direction, p1, p2, lo, hi, costs=k,
+                                            second=(second, False, k))
+                    ours, theirs = (r + k * mc for r in residuals)
+                    assert (first == np.where(early, ours, theirs)).all(), (direction, bands, k)
+                    assert (second == np.where(early, theirs, ours)).all(), (direction, bands, k)
+                    # a first visit that writes comes before the second that adds
+                    both = np.full_like(mc, 255)
+                    for lo, hi in bands:
+                        aggregate_lines(mc, both, direction, p1, p2, lo, hi, costs=k, second=(both, True, k))
+                    assert (both == ours + theirs).all(), (direction, bands, k)
+                folded, total = mc.copy(), np.zeros_like(mc)
+                for lo, hi in bands:
+                    aggregate_lines(folded, total, direction, p1, p2, lo, hi, costs=0, second=(folded, False, fold))
+                assert (total == np.where(early, *residuals)).all(), (direction, bands)
+                assert (folded == np.where(early, *residuals[::-1]) + fold * mc).all(), (direction, bands)
+                for k in (0, 1):
+                    cells = mc.astype(np.uint16) << SUM_BITS
+                    for lo, hi in bands:
+                        aggregate_lines(cells, cells, direction, p1, p2, lo, hi, add=True, costs=k,
+                                        second=(cells, True, k))
+                    assert (cells >> SUM_BITS == mc).all(), (direction, bands, k)
+                    assert (cells & ((1 << SUM_BITS) - 1) == sum(residuals) + 2 * k * mc).all(), (direction, bands, k)
 
 
 @given(hamming_volumes(), st.sampled_from(ALL_DIRECTIONS), st.data())
@@ -337,3 +363,8 @@ def test_add_takes_residuals_or_smoothed_costs_only():
     mc = np.zeros((2, 3, 4), np.uint8)
     with pytest.raises(ValueError, match="costs"):
         aggregate_lines(mc, mc.copy(), (1, 0), 1, 10, add=True, costs=2)
+    # a pair's two visits emit one kind, and neither adds a fold
+    with pytest.raises(ValueError, match="costs"):
+        aggregate_lines(mc, mc.copy(), (1, 0), 1, 10, second=(mc.copy(), True, 2))
+    with pytest.raises(ValueError, match="costs 1 or neither"):
+        aggregate_lines(mc, mc.copy(), (1, 0), 1, 10, costs=1, second=(mc.copy(), False, 0))

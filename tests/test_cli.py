@@ -210,9 +210,9 @@ def test_stage_ab_runs_a_tree_against_itself(tmp_path):
     script = Path(__file__).resolve().parent.parent / "scripts" / "stage_ab.py"
     proc = subprocess.run(
         [sys.executable, str(script), SRC, SRC, "--width", "40", "--height", "30",
-         "--disparities", "16", "--paths", "4", "--rounds", "2"],
+         "--disparities", "16", "--paths", "4", "--rounds", "2", "--seed", "5"],
         capture_output=True, text=True, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "maps identical" in proc.stdout, proc.stdout
+    assert "seed=5 rounds=2, maps identical" in proc.stdout, proc.stdout
     assert any(line.split()[:1] == ["walks"] for line in proc.stdout.splitlines()), proc.stdout

@@ -9,6 +9,7 @@ from sgmstereo import (
     ConfigError,
     PipelineConfig,
     SgmParams,
+    aggregate_path,
     compute_disparity,
     run_pipeline,
     shift_recovery_mask,
@@ -155,12 +156,9 @@ def _layout(paths: int, p2: int) -> str:
 
 
 def test_every_setting_holds_at_most_two_bytes_a_cell():
-    # buffers hold only what crosses stages: no census planes, and the
-    # filtered map only when the median runs; every layout meets both.
-    # Where directions pair, their half-walks keep a byte state of the
-    # pairs' longest front, two slots of it: the 31 lines of a diagonal at
-    # 8 paths, the 20 of a vertical direction at 4 paths, in every layout;
-    # 2 paths have no pairs
+    # buffers hold only what crosses stages: no census planes, no walk
+    # state, and the filtered map only when the median runs; every layout
+    # meets both
     left, right = shifted_pair(20, 12, 2, seed=17)
     for paths in (2, 4, 8):
         for p2 in range(2, 225):
@@ -168,16 +166,10 @@ def test_every_setting_holds_at_most_two_bytes_a_cell():
             layout = _layout(paths, p2)
             params = SgmParams(disparities=8, p1=1, p2=p2, paths=paths)
             with Executor(left, right, params, median=median) as ex:
-                buffers = dict(ex.buffers)
-                state = buffers.pop("walk_state", None)
+                buffers = ex.buffers
                 names = set(buffers)
                 volumes = {name: b.dtype for name, b in buffers.items() if b.ndim == 3}
                 assert all(b.shape == (12, 20, 8) for b in buffers.values() if b.ndim == 3)
-            front = {2: None, 4: 20, 8: 31}[paths]
-            if front is None:
-                assert state is None, (paths, p2)
-            else:
-                assert state.shape == (2, front, 8) and state.dtype == np.uint8, (paths, p2)
             planes = {"left", "right", "disp_raw"} | ({"disp_out"} if median else set())
             if layout == "packed":
                 assert volumes == {"mc": np.uint16}, (paths, p2)
@@ -223,7 +215,6 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
     with Executor(left, right, params, threads=threads) as ex:
         assert (ex.pool is not None) == (threads == 2 and _pool_expected())
         disp = ex.run()
-        # the volumes; where directions pair, "walk_state" is there too
         peaks = {name: int(b.max()) for name, b in ex.buffers.items() if b.shape == (20, 48, disparities)}
         cells = ex.buffers["mc"]
         if layout == "packed":
@@ -242,6 +233,16 @@ def test_sums_at_their_bound_match_oracle(monkeypatch, threads, p2, paths, dispa
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
+# the walk stages of each path count: 2 paths have no opposites, and at 4
+# and 8 every direction walks in lockstep with its opposite, as one stage
+_WALK_STAGES = {
+    2: ["aggregate(+1,+0)", "aggregate(+0,+1)"],
+    4: ["aggregate(+1,+0)&(-1,+0)", "aggregate(+0,+1)&(+0,-1)"],
+    8: ["aggregate(+1,+0)&(-1,+0)", "aggregate(+0,+1)&(+0,-1)", "aggregate(+1,+1)&(-1,-1)",
+        "aggregate(-1,+1)&(+1,-1)"],
+}
+
+
 @pytest.mark.parametrize("paths", [2, 4, 8])
 def test_pool_runs_one_task_per_worker_in_every_stage(monkeypatch, paths):
     if not fork_available():
@@ -258,15 +259,7 @@ def test_pool_runs_one_task_per_worker_in_every_stage(monkeypatch, paths):
         return original(pool, buffers, tasks)
 
     monkeypatch.setattr(pipeline, "run_tasks", recording_run_tasks)
-    walks = {
-        # 2 paths have no opposites; at 4 and 8 every direction pairs
-        2: ["aggregate(+1,+0)", "aggregate(+0,+1)"],
-        4: [f"aggregate{pair} {phase}/2" for pair in ("(+1,+0)&(-1,+0)", "(+0,+1)&(+0,-1)") for phase in (1, 2)],
-        8: [f"aggregate{pair} {phase}/2"
-            for pair in ("(+1,+0)&(-1,+0)", "(+0,+1)&(+0,-1)", "(+1,+1)&(-1,-1)", "(-1,+1)&(+1,-1)")
-            for phase in (1, 2)],
-    }
-    names = ["matching_cost", *walks[paths], "selection", "median"]
+    names = ["matching_cost", *_WALK_STAGES[paths], "selection", "median"]
     for workers in (2, 4):
         monkeypatch.setattr(pipeline, "default_threads", lambda: workers)
         batches.clear()
@@ -277,39 +270,73 @@ def test_pool_runs_one_task_per_worker_in_every_stage(monkeypatch, paths):
             stages = dict(ex._stages)
         assert all((disp == serial).all() for disp in frames)
         # census words and costs, selection and the median take one row
-        # range per worker, and the walks a band of lines per worker, or a
-        # paired phase's two half-walks a band per two workers: one task
-        # per worker in every stage, every frame, whichever layout the paths
-        # pick (byte, fold, packed)
-        assert batches == 2 * [workers] * (paths + 3)
+        # range per worker, and the walks a band of lines per worker, of a
+        # direction with its opposite where they pair: one task per worker
+        # in every stage, every frame, whichever layout the paths pick
+        # (byte, fold, packed)
+        assert batches == 2 * [workers] * len(names)
         assert list(timings) == names
         for name in ("matching_cost", "selection", "median"):
             covered = np.zeros(left.shape[0], int)
             for _, kwargs in stages[name]:
                 covered[kwargs["y0"] : kwargs["y1"]] += 1
             assert len(stages[name]) == workers and (covered == 1).all(), name
-    # a serial executor builds the same stages, with one task per row stage
+    # a serial executor builds the same stages, with one task each
     with Executor(left, right, params, threads=1) as ex:
         assert ex.pool is None
         assert [name for name, _ in ex._stages] == names
-        assert all(len(tasks) == 1 for name, tasks in ex._stages if "&" not in name)
+        assert all(len(tasks) == 1 for _, tasks in ex._stages)
+
+
+# what each walk stage does to the sum, as (dst, add, costs) of its first
+# visits and of its second (None where a direction walks alone): the first
+# visit writes and every later one adds, except that the fold's last visit
+# writes r + paths * C over "mc", and packed cells add every visit
+_VISITS = {
+    "byte": [(("cost_sum", False, 1), None), (("cost_sum", True, 1), None)],
+    "fold": [(("cost_sum", False, 0), ("cost_sum", True, 0)), (("cost_sum", True, 0), ("mc", False, 4))],
+    "packed": [(("mc", True, 1), ("mc", True, 1))] * 4,
+}
+
+
+@pytest.mark.parametrize(("width", "height", "disparities"), [(20, 12, 8), (640, 480, 128)])
+@pytest.mark.parametrize("layout", ["byte", "fold", "packed"])
+def test_the_stage_list_is_pinned(monkeypatch, layout, width, height, disparities):
+    # the stages of every layout, serial and pooled at 2 and 4 workers,
+    # built without a frame: names in order, one task per worker in each,
+    # and what each walk stage does to the sum.  A frame runs 5 stages at
+    # 2 and 4 paths and 7 at 8, so 10, 10 and 14 pooled tasks at 2 workers
+    paths = {"byte": 2, "fold": 4, "packed": 8}[layout]
+    params = SgmParams(disparities=disparities, p1=7, p2=84, paths=paths)
+    assert _layout(paths, params.p2) == layout
+    frame = np.zeros((height, width), np.uint8)
+    names = ["matching_cost", *_WALK_STAGES[paths], "selection", "median"]
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    for workers in (1, 2, 4):
+        if workers > 1 and not fork_available():
+            continue
+        monkeypatch.setattr(pipeline, "default_threads", lambda: workers)
+        with Executor(frame, frame, params, threads=workers) as ex:
+            assert (ex.pool is not None) == (workers > 1)
+            assert [(name, len(tasks)) for name, tasks in ex._stages] == [(name, workers) for name in names]
+            visits = [{((kw["dst"], kw["add"], kw["costs"]), kw["second"]) for _, kw in tasks}
+                      for name, tasks in ex._stages if name.startswith("aggregate")]
+            assert visits == [{v} for v in _VISITS[layout]]
 
 
 def _walked_cells(height: int, width: int, kwargs: dict) -> np.ndarray:
     """The cells one walk task writes, as a (height, width) mask: the cells
-    of its lines [lo, hi) in its steps, numbered as ``aggregate_lines``
-    numbers them (rows for horizontal, columns for vertical, and
-    x - rx * ry * y from 0 for a diagonal), here from each cell's
-    coordinates."""
+    of its lines [lo, hi), numbered as ``aggregate_lines`` numbers them
+    (rows for horizontal, columns for vertical, and x - rx * ry * y from 0
+    for a diagonal), here from each cell's coordinates."""
     rx, ry = kwargs["direction"]
     y, x = np.mgrid[:height, :width]
     if ry == 0:
-        line, step = y, x
+        line = y
     else:
         shear = rx * ry
-        line, step = x - shear * y + (height - 1 if shear > 0 else 0), y
-    s0, s1 = kwargs.get("steps") or (0, width if ry == 0 else height)
-    return (kwargs["lo"] <= line) & (line < kwargs["hi"]) & (s0 <= step) & (step < s1)
+        line = x - shear * y + (height - 1 if shear > 0 else 0)
+    return (kwargs["lo"] <= line) & (line < kwargs["hi"])
 
 
 # byte sum (4 paths, p2 <= 32), fold (4, 84; 8, 7; 2, 150), packed (8, 84)
@@ -325,13 +352,12 @@ _PAIR_CASES = [(4, 5, 30, 2), (4, 5, 84, 2), (8, 6, 7, 4), (2, 5, 150, 0), (8, 5
 @pytest.mark.parametrize("threads", [1, 2, 4])
 def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, paths, p1, p2, pairs,
                                            disparities):
-    # odd frames cut every walk into unequal halves.  Every walk stage, a
-    # pair's phase or a direction with no opposite, writes disjoint cells,
-    # together every cell once, and the stages walk every cell once in each
-    # direction.  In a phase of a pair the half-walks meet in the middle; 4
-    # workers cut each half-walk into 2 bands of lines and an unpaired
-    # direction into 4.  A serial executor walks the same stages, a whole
-    # front a walk, in the pool's stage list
+    # odd frames give a pair's two directions unequal halves.  Every walk
+    # stage, a direction with its opposite or a direction with no
+    # opposite, cuts its lines into one band per worker, whose tasks walk
+    # disjoint cells, together every cell once, and the stages walk every
+    # cell once in each direction.  A serial executor walks the same
+    # stages, every line in one task, in the pool's stage list
     if threads > 1 and not _pool_expected():
         pytest.skip("needs fork and two CPUs for a pool")
     monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
@@ -350,21 +376,31 @@ def test_pooled_pairs_walk_disjoint_halves(monkeypatch, threads, width, height, 
         sums = {name: ex.buffers[name].astype(int) for name in ("mc", "cost_sum") if name in ex.buffers}
     assert (disp == serial).all()
     assert (disp == oracle_pipeline(left, right, params)).all()
-    if _layout(paths, p2) == "fold":
-        # the last stage folded one residual beside paths * C into every
-        # cell of "mc", and the byte volume holds the other paths - 1
-        costs = oracle_matching_cost(oracle_census(left), oracle_census(right), disparities)
+    # the sums the stages left are exactly those of the whole walks
+    costs = oracle_matching_cost(oracle_census(left), oracle_census(right), disparities)
+    expected = sum(aggregate_path(costs, d, params).astype(int) for d in params.directions)
+    layout = _layout(paths, p2)
+    if layout == "packed":
+        assert (sums["mc"] & ((1 << SUM_BITS) - 1) == expected).all()
+    else:
+        assert (sums["cost_sum"] + (sums["mc"] if layout == "fold" else 0) == expected).all()
+    if layout == "fold":
+        # each cell's last visit folded one residual beside paths * C into
+        # "mc", and the byte volume holds the other paths - 1
         folded = sums["mc"] - paths * costs.astype(int)
         assert ((0 <= folded) & (folded <= p2)).all()
         assert (sums["cost_sum"] <= (paths - 1) * p2).all()
-    assert sum("&" in name for name, _ in stages) == 2 * pairs and len(stages) == paths
+    assert sum("&" in name for name, _ in stages) == pairs and len(stages) == paths - pairs
     walked = {}
     for name, tasks in stages:
-        assert len(tasks) == (2 * max(1, threads // 2) if "&" in name else threads), name
+        assert len(tasks) == threads, name
         cells = [_walked_cells(height, width, kwargs) for _, kwargs in tasks]
         assert (sum(cells) == 1).all(), name
         for (_, kwargs), mask in zip(tasks, cells):
-            walked[kwargs["direction"]] = walked.get(kwargs["direction"], 0) + mask
+            rx, ry = kwargs["direction"]
+            assert ("&" in name) == (kwargs["second"] is not None), name
+            for d in [(rx, ry), (-rx, -ry)][: 1 + ("&" in name)]:
+                walked[d] = walked.get(d, 0) + mask
     assert len(walked) == paths
     assert all((count == 1).all() for count in walked.values())
 
@@ -381,24 +417,23 @@ def _refuse_every_allocation(monkeypatch):
 
 def test_a_frame_that_cannot_fit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
     # a broadcast 480x640 view allocates nothing; at D = 128 and 8 paths the
-    # frame declares a uint16 cube and four byte planes, 76.17 MiB, and the
-    # paired walks' state, two 1119-line diagonal fronts, 0.27 MiB, at any
+    # frame declares a uint16 cube and four byte planes, 76.17 MiB, at any
     # thread count; its cost tasks build one frame's census words, 2.34 MiB
     frame = np.broadcast_to(np.uint8(0), (480, 640))
     params = SgmParams(disparities=128, paths=8)
     declared = 2 * 480 * 640 * 128 + 4 * 480 * 640
-    needed = declared + 2 * 4 * 480 * 640 + 2 * 1119 * 128
+    needed = declared + 2 * 4 * 480 * 640
     _refuse_every_allocation(monkeypatch)
     errors = []
     for available in (64 * 2**20, declared, needed - 1):
         monkeypatch.setattr(pipeline, "available_memory", lambda: available)
         for threads in (1, 2):
-            with pytest.raises(ConfigError, match=r"need 78\.8 MiB, but only") as info:
+            with pytest.raises(ConfigError, match=r"need 78\.5 MiB, but only") as info:
                 Executor(frame, frame, params, threads=threads)
             errors.append(str(info.value))
     assert errors[0] == errors[1] and "only 64.0 MiB" in errors[0]
     assert errors[2] == errors[3] and "only 76.2 MiB" in errors[2]
-    assert errors[4] == errors[5] and "only 78.8 MiB" in errors[4]
+    assert errors[4] == errors[5] and "only 78.5 MiB" in errors[4]
     # exactly enough memory passes the check and reaches the first allocation
     monkeypatch.setattr(pipeline, "available_memory", lambda: needed)
     with pytest.raises(AssertionError, match="a buffer was allocated"):
@@ -448,6 +483,18 @@ _CGROUP_CASES = [
     (_V2, {"app/memory.max": None, "app/memory.current": "0\n"}, None),
     (_V1, {"memory/jobs/x/memory.limit_in_bytes": "5000\n"}, None),
     ("garbage\n9:cpu:/\n", {"memory.max": "10\n", "memory.current": "0\n"}, None),
+    # ancestors count up to the root, and the smallest headroom wins: a
+    # limit on the parent alone, v2 and v1, and on the v1 root
+    ("0::/app/job\n", {"app/memory.max": "1000000\n", "app/memory.current": "400000\n",
+                       "app/job/memory.max": "max\n", "app/job/memory.current": "100\n"}, 600_000),
+    (_V1, {"memory/jobs/memory.limit_in_bytes": "5000\n", "memory/jobs/memory.usage_in_bytes": "1000\n",
+           "memory/jobs/x/memory.limit_in_bytes": "9223372036854771712\n",
+           "memory/jobs/x/memory.usage_in_bytes": "1000\n"}, 4000),
+    (_V1, {"memory/memory.limit_in_bytes": "3000\n", "memory/memory.usage_in_bytes": "0\n",
+           "memory/jobs/x/memory.limit_in_bytes": "5000\n", "memory/jobs/x/memory.usage_in_bytes": "1000\n"}, 3000),
+    # a child tighter than its parent
+    ("0::/app/job\n", {"app/memory.max": "10000\n", "app/memory.current": "5000\n",
+                       "app/job/memory.max": "1000\n", "app/job/memory.current": "900\n"}, 100),
 ]
 
 
@@ -470,25 +517,36 @@ def test_available_memory_is_the_smaller_of_the_host_and_the_cgroup_figure(monke
     assert 0 < pipeline.available_memory() < 2**61
 
 
-def test_a_frame_over_the_cgroup_limit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
-    # a 64 MiB cgroup limit, far below the host's MemAvailable, with 16 MiB
-    # in use; the frame of the test above needs 78.8 MiB
+def _refused_by_cgroup(monkeypatch, tmp_path, capsys, entries: str, limited: str) -> None:
+    """A 64 MiB limit on the cgroup ``limited`` of a fake v2 tree, far below
+    the host's MemAvailable, with 16 MiB in use, refuses the frame of the
+    test above (78.5 MiB) serially and pooled before any allocation; at
+    its limit it leaves no room for the CLI's small frame, which exits 2."""
     frame = np.broadcast_to(np.uint8(0), (480, 640))
-    current = tmp_path / "cg" / "fs" / "app" / "memory.current"
-    _fake_cgroups(monkeypatch, tmp_path / "cg", _V2,
-                  {"app/memory.max": str(64 * 2**20), "app/memory.current": str(16 * 2**20)})
+    current = tmp_path / "cg" / "fs" / limited / "memory.current"
+    _fake_cgroups(monkeypatch, tmp_path / "cg", entries,
+                  {f"{limited}/memory.max": str(64 * 2**20), f"{limited}/memory.current": str(16 * 2**20)})
     _refuse_every_allocation(monkeypatch)
     for threads in (1, 2):
-        with pytest.raises(ConfigError, match=r"need 78\.8 MiB, but only 48\.0 MiB of memory is available"):
+        with pytest.raises(ConfigError, match=r"need 78\.5 MiB, but only 48\.0 MiB of memory is available"):
             Executor(frame, frame, SgmParams(disparities=128, paths=8), threads=threads)
     monkeypatch.undo()
-    # a cgroup at its limit leaves no room for even a small frame
     current.write_text(str(64 * 2**20))
-    _fake_cgroups(monkeypatch, tmp_path / "cg", _V2, {})
+    _fake_cgroups(monkeypatch, tmp_path / "cg", entries, {})
     lp, rp, op = _write_pair(tmp_path)
     assert cli.run(["--left", str(lp), "--right", str(rp), "--output", str(op), "--threads", "2"]) == 2
     assert "but only 0.0 MiB of memory is available" in capsys.readouterr().err
     assert not op.exists()
+
+
+def test_a_frame_over_the_cgroup_limit_fails_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
+    _refused_by_cgroup(monkeypatch, tmp_path, capsys, _V2, "app")
+
+
+def test_a_limit_on_a_parent_cgroup_fails_the_frame_before_anything_is_allocated(monkeypatch, tmp_path, capsys):
+    # the process's own cgroup sets no limit; its parent does
+    _fake_cgroups(monkeypatch, tmp_path / "cg", "0::/app/job\n", {"app/job/memory.max": "max\n"})
+    _refused_by_cgroup(monkeypatch, tmp_path, capsys, "0::/app/job\n", "app")
 
 
 def test_an_oversized_frame_fails_against_the_real_memory_probe(monkeypatch):
@@ -563,11 +621,8 @@ def test_benchmark_does_not_change_output(tmp_path):
     )
     assert benched.bench is not None
     assert benched.bench.iterations == 2
-    # the fold walks both pairs of opposite directions in two phases
-    assert list(benched.bench.stage_ms) == [
-        "matching_cost", "aggregate(+1,+0)&(-1,+0) 1/2", "aggregate(+1,+0)&(-1,+0) 2/2",
-        "aggregate(+0,+1)&(+0,-1) 1/2", "aggregate(+0,+1)&(+0,-1) 2/2", "selection", "median",
-    ]
+    # the fold walks each direction with its opposite, a stage a pair
+    assert list(benched.bench.stage_ms) == ["matching_cost", *_WALK_STAGES[4], "selection", "median"]
     assert benched.bench.fps > 0
     assert (benched.disparity == plain.disparity).all()
 

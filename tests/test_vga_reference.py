@@ -4,13 +4,15 @@ sum layouts, serially and on a pool.
 Every other differential test runs on small frames, which reach the real
 block sizes, row chunks and pool bands only by patching them.  Here the
 maps of ``Executor.run`` (all that ``compute_disparity`` does) are compared
-with two references.  The stage-API composition shares the walk with the
-pipeline but none of its layouts, keys, bands or tasks.  The naive walker
-below shares nothing past the cost cube: it walks in int32, one step index
-at a time over every cell at that index, with no residuals, byte state,
-blocks, windows or transposes, so it sees faults of ``_walk`` that show
-only at the real block sizes and windows.  And the sums the pipeline left
-in its buffers must keep the bound paths * C <= S <= paths * (C + p2).
+with two references, both over a cost cube built here by a naive
+Hamming count, so they share only ``census_transform`` with the pipeline.
+The stage-API composition shares the walk with the pipeline but none of
+its layouts, keys, bands, pairs or tasks.  The naive walker below shares
+nothing: it walks in int32, one step index at a time over every cell at
+that index, with no residuals, byte state, blocks, windows or
+transposes, so it sees faults of ``_walk`` that show only at the real
+block sizes and windows.  And the sums the pipeline left in its buffers
+must keep the bound paths * C <= S <= paths * (C + p2).
 """
 
 import os
@@ -18,13 +20,27 @@ import os
 import numpy as np
 import pytest
 
-from sgmstereo import SgmParams, aggregate_path, census_transform, matching_cost, median_filter_3x3, shifted_pair
+from sgmstereo import SgmParams, aggregate_path, census_transform, median_filter_3x3, shifted_pair
 from sgmstereo.params import SUM_BITS, sum_volumes
 from sgmstereo.pipeline import Executor
 from sgmstereo.workers import fork_available
 
 WIDTH, HEIGHT, DISPARITIES, P2 = 640, 480, 128, 84
 PATHS = {"byte": 2, "fold": 4, "packed": 8}
+
+
+def naive_costs(left: np.ndarray, right: np.ndarray, disparities: int) -> np.ndarray:
+    """C(y, x, d) = popcount(census(left)[y, x] ^ census(right)[y, max(x - d, 0)]),
+    by fancy indexing 16 rows at a time, which bounds the uint32 scratch
+    to 16 * W * D words."""
+    base, match = census_transform(left), census_transform(right)
+    height, width = base.shape
+    columns = np.maximum(np.arange(width)[:, None] - np.arange(disparities), 0)
+    costs = np.empty((height, width, disparities), np.uint8)
+    for y0 in range(0, height, 16):
+        rows = slice(y0, y0 + 16)
+        costs[rows] = np.bitwise_count(base[rows, :, None] ^ match[rows][:, columns])
+    return costs
 
 
 @pytest.fixture(scope="module")
@@ -37,7 +53,7 @@ def vga():
     disparity."""
     left, right = shifted_pair(WIDTH, HEIGHT, 70, seed=31)
     right[HEIGHT // 2 :] = np.random.default_rng(32).integers(0, 256, (HEIGHT - HEIGHT // 2, WIDTH), np.uint8)
-    costs = matching_cost(census_transform(left), census_transform(right), DISPARITIES)
+    costs = naive_costs(left, right, DISPARITIES)
     maps: dict[int, np.ndarray] = {}
 
     def reference(params: SgmParams) -> np.ndarray:
@@ -130,10 +146,12 @@ def test_vga_frames_match_the_stage_composition(vga, layout, threads):
         bufs = ex.buffers
         if layout == "byte":
             sums = bufs["cost_sum"].astype(np.uint16)
+            assert (bufs["mc"] == costs).all()
         elif layout == "fold":
             sums = bufs["cost_sum"] + bufs["mc"].astype(np.uint16)
         else:
             sums = bufs["mc"] & np.uint16((1 << SUM_BITS) - 1)
+            assert (bufs["mc"] >> SUM_BITS == costs).all()
     floor = costs * np.uint16(params.paths)
     assert (floor <= sums).all()
     sums -= floor
