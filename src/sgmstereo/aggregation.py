@@ -41,7 +41,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .params import SUM_BITS, Direction, SgmParams
+from .params import SUM_BITS, ConfigError, Direction, SgmParams, as_array
 
 # bytes per block of fronts a walk computes between two yields: enough steps
 # to read and write the volume in long runs, small next to a frame's memory
@@ -232,20 +232,6 @@ def _walk(
         yield from emits
 
 
-def _check_volume(mc: np.ndarray, params: SgmParams) -> None:
-    if mc.ndim != 3 or mc.size == 0:
-        raise ValueError(f"expected a non-empty (H, W, D) cost volume, got shape {mc.shape}")
-    if mc.dtype != np.uint8:
-        raise ValueError(f"cost volume must be uint8, got {mc.dtype}")
-    if mc.shape[2] != params.disparities:
-        raise ValueError(f"volume has {mc.shape[2]} disparity levels, params expect {params.disparities}")
-    peak = int(mc.max())
-    if peak > 255 - params.p2:
-        raise ValueError(
-            f"cost volume peak {peak} with p2={params.p2} would overflow single-byte aggregation"
-        )
-
-
 def aggregate_lines(
     mc: np.ndarray, out: np.ndarray, direction: Direction, p1: int, p2: int,
     lo: int = 0, hi: int | None = None, add: bool = False, costs: int = 1,
@@ -291,11 +277,15 @@ def aggregate_lines(
 
 def aggregate_path(mc: np.ndarray, direction: Direction, params: SgmParams) -> np.ndarray:
     """Smooth the cost volume along one path direction."""
-    mc = np.asarray(mc)
-    _check_volume(mc, params)
+    mc = as_array("mc", mc, 3, np.uint8)
+    if mc.shape[2] != params.disparities:
+        raise ConfigError(f"volume has {mc.shape[2]} disparity levels, params expect {params.disparities}")
+    peak = int(mc.max())
+    if peak > 255 - params.p2:
+        raise ConfigError(f"cost volume peak {peak} with p2={params.p2} would overflow single-byte aggregation")
     rx, ry = direction
     if rx not in (-1, 0, 1) or ry not in (-1, 0, 1) or (rx == 0 and ry == 0):
-        raise ValueError(f"invalid path direction {direction!r}")
+        raise ConfigError(f"invalid path direction {direction!r}")
     out = np.empty_like(mc)
     aggregate_lines(mc, out, direction, params.p1, params.p2)
     return out

@@ -13,6 +13,8 @@ import sys
 
 import numpy as np
 
+from .params import as_array
+
 WINDOW_HALF_X = 4
 WINDOW_HALF_Y = 3
 FEATURE_BITS = 31
@@ -25,13 +27,6 @@ PAIR_OFFSETS: tuple[tuple[int, int], ...] = tuple(
     [(dx, dy) for dx in range(1, WINDOW_HALF_X + 1) for dy in range(-WINDOW_HALF_Y, WINDOW_HALF_Y + 1)]
     + [(0, dy) for dy in range(1, WINDOW_HALF_Y + 1)]
 )
-
-
-def _check_image(image: np.ndarray) -> None:
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError(f"expected a non-empty 2-d image, got shape {image.shape}")
-    if image.dtype != np.uint8:
-        raise ValueError(f"expected uint8 pixels, got {image.dtype}")
 
 
 def census_rows(image: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
@@ -85,8 +80,7 @@ def census_rows(image: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
 
 def census_transform(image: np.ndarray) -> np.ndarray:
     """Census-transform an 8-bit image into per-pixel 31-bit feature words."""
-    image = np.asarray(image)
-    _check_image(image)
+    image = as_array("image", image, 2, np.uint8)
     out = np.empty(image.shape, dtype=np.uint32)
     census_rows(image, out, 0, image.shape[0])
     return out

@@ -11,21 +11,12 @@ import struct
 
 import numpy as np
 
-from .params import SUM_BITS
+from .params import SUM_BITS, ConfigError, as_array, as_int
 
 # bytes of the uint32 xor scratch per row block: larger blocks spread
 # numpy's per-call cost over more pixels, and 1 MiB keeps the scratch a
 # negligible share of a frame's peak memory
 _BLOCK_BYTES = 1 << 20
-
-
-def _check_census(base: np.ndarray, match: np.ndarray) -> None:
-    if base.ndim != 2 or base.size == 0:
-        raise ValueError(f"expected non-empty 2-d census images, got shape {base.shape}")
-    if base.shape != match.shape:
-        raise ValueError(f"dimension mismatch: base {base.shape} vs match {match.shape}")
-    if base.dtype != np.uint32 or match.dtype != np.uint32:
-        raise ValueError("census images must be uint32")
 
 
 def matching_cost_rows(base: np.ndarray, match: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
@@ -65,11 +56,12 @@ def matching_cost_rows(base: np.ndarray, match: np.ndarray, out: np.ndarray, y0:
 
 def matching_cost(base: np.ndarray, match: np.ndarray, disparities: int) -> np.ndarray:
     """Build the (H, W, D) byte cost cube from two census images."""
-    base = np.asarray(base)
-    match = np.asarray(match)
-    _check_census(base, match)
+    base, match = as_array("base", base, 2, np.uint32), as_array("match", match, 2, np.uint32)
+    if base.shape != match.shape:
+        raise ConfigError(f"dimension mismatch: base {base.shape} vs match {match.shape}")
+    disparities = as_int("disparities", disparities)
     if not 1 <= disparities <= 256:
-        raise ValueError(f"disparities must be in [1, 256], got {disparities}")
+        raise ConfigError(f"disparities must be in [1, 256], got {disparities}")
     height, width = base.shape
     out = np.empty((height, width, disparities), dtype=np.uint8)
     matching_cost_rows(base, match, out, 0, height)
@@ -79,11 +71,7 @@ def matching_cost(base: np.ndarray, match: np.ndarray, disparities: int) -> np.n
 def dump_cost_volume(volume: np.ndarray) -> bytes:
     """Serialise a cost cube: width, height, D as little-endian u32, then the
     raw bytes in disparity-fastest order."""
-    volume = np.asarray(volume)
-    if volume.dtype != np.uint8:
-        raise ValueError(f"cost volume must be uint8, got {volume.dtype}")
-    if volume.ndim != 3 or volume.size == 0:
-        raise ValueError(f"expected a non-empty 3-d cost volume, got shape {volume.shape}")
+    volume = as_array("volume", volume, 3, np.uint8)
     height, width, disparities = volume.shape
     return struct.pack("<III", width, height, disparities) + volume.tobytes()
 

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .params import SUM_BITS, SgmParams
+from .params import SUM_BITS, ConfigError, SgmParams, as_array
 
 # bytes of the keys per block of rows in select_rows
 _BLOCK_BYTES = 1 << 19
@@ -21,19 +21,6 @@ _MEDIAN9 = (
     (1, 2), (4, 5), (7, 8), (0, 1), (3, 4), (6, 7), (1, 2), (4, 5), (7, 8),
     (0, 3), (5, 8), (4, 7), (3, 6), (1, 4), (2, 5), (4, 7), (4, 2), (6, 4), (4, 2),
 )
-
-
-def _check_volumes(volumes: Sequence[np.ndarray]) -> tuple[int, int, int]:
-    if not volumes:
-        raise ValueError("need at least one aggregated volume")
-    for v in volumes:
-        if v.ndim != 3 or v.size == 0:
-            raise ValueError(f"expected non-empty (H, W, D) volumes, got shape {v.shape}")
-        if v.dtype != np.uint8:
-            raise ValueError(f"aggregated volumes must be uint8, got {v.dtype}")
-        if v.shape != volumes[0].shape:
-            raise ValueError(f"shape mismatch between volumes: {v.shape} vs {volumes[0].shape}")
-    return volumes[0].shape
 
 
 def select_rows(volumes: Sequence[np.ndarray], out: np.ndarray, y0: int, y1: int) -> None:
@@ -102,9 +89,15 @@ def select_disparity(volumes: Sequence[np.ndarray], params: SgmParams | None = N
 
     Ties break toward the lowest disparity index.
     """
-    height, width, disparities = _check_volumes(volumes)
+    volumes = [as_array(f"volumes[{i}]", v, 3, np.uint8) for i, v in enumerate(volumes)]
+    if not volumes:
+        raise ConfigError("need at least one aggregated volume")
+    for v in volumes:
+        if v.shape != volumes[0].shape:
+            raise ConfigError(f"shape mismatch between volumes: {v.shape} vs {volumes[0].shape}")
+    height, width, disparities = volumes[0].shape
     if params is not None and disparities != params.disparities:
-        raise ValueError(f"volumes have {disparities} disparity levels, params expect {params.disparities}")
+        raise ConfigError(f"volumes have {disparities} disparity levels, params expect {params.disparities}")
     out = np.empty((height, width), dtype=np.int32)
     select_rows(volumes, out, 0, height)
     return out
@@ -137,10 +130,8 @@ def median_rows(src: np.ndarray, out: np.ndarray, y0: int, y1: int) -> None:
 
 
 def median_filter_3x3(disparity: np.ndarray) -> np.ndarray:
-    """3x3 median filter; borders are copied unchanged."""
-    disparity = np.asarray(disparity)
-    if disparity.ndim != 2 or disparity.size == 0:
-        raise ValueError(f"expected a non-empty 2-d map, got shape {disparity.shape}")
+    """3x3 median filter of an integer map; borders are copied unchanged."""
+    disparity = as_array("disparity", disparity, 2, np.integer)
     out = disparity.copy()
     median_rows(disparity, out, 0, disparity.shape[0])
     return out

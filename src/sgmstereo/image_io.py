@@ -12,6 +12,8 @@ import os
 
 import numpy as np
 
+from .params import ConfigError, as_array
+
 _WHITESPACE = b" \t\n\r\x0b\x0c"
 
 
@@ -50,9 +52,10 @@ def _int_token(data: bytes, pos: int, what: str) -> tuple[int, int]:
 def load_pgm(data: bytes) -> np.ndarray:
     """Decode a binary PGM (P5) byte stream into a grayscale image.
 
-    Only 8-bit data (maxval <= 255) is accepted.  Header comments and any
-    amount of whitespace between header fields are tolerated; trailing bytes
-    after the raster are ignored.
+    Only 8-bit data (maxval <= 255) is accepted, and every sample must be
+    at most maxval.  Header comments and any amount of whitespace between
+    header fields are tolerated; trailing bytes after the raster are
+    ignored.
     """
     magic, pos = _next_token(data, 0)
     if magic != b"P5":
@@ -73,16 +76,16 @@ def load_pgm(data: bytes) -> np.ndarray:
     raster = data[pos : pos + count]
     if len(raster) < count:
         raise PgmError(f"truncated pixel data: expected {count} bytes, found {len(raster)}")
-    return np.frombuffer(raster, dtype=np.uint8, count=count).reshape(height, width).copy()
+    image = np.frombuffer(raster, dtype=np.uint8, count=count).reshape(height, width).copy()
+    if maxval < 255 and image.max() > maxval:
+        y, x = divmod(int(np.argmax(image > maxval)), width)
+        raise PgmError(f"sample {image[y, x]} at row {y}, column {x} exceeds maxval {maxval}")
+    return image
 
 
 def save_pgm(image: np.ndarray) -> bytes:
     """Encode a grayscale image as binary PGM.  Round-trips bit-exactly."""
-    image = np.asarray(image)
-    if image.ndim != 2 or image.size == 0:
-        raise ValueError(f"expected a non-empty 2-d image, got shape {image.shape}")
-    if image.dtype != np.uint8:
-        raise ValueError(f"expected uint8 pixels, got {image.dtype}")
+    image = as_array("image", image, 2, np.uint8)
     height, width = image.shape
     header = f"P5\n{width} {height}\n255\n".encode("ascii")
     return header + image.tobytes()
@@ -90,14 +93,10 @@ def save_pgm(image: np.ndarray) -> bytes:
 
 def save_disparity(disparity: np.ndarray) -> bytes:
     """Encode a disparity map as an 8-bit PGM with identity value encoding."""
-    disparity = np.asarray(disparity)
-    if disparity.ndim != 2 or disparity.size == 0:
-        raise ValueError(f"expected a non-empty 2-d disparity map, got shape {disparity.shape}")
-    if not np.issubdtype(disparity.dtype, np.integer):
-        raise ValueError(f"expected integer disparities, got {disparity.dtype}")
+    disparity = as_array("disparity", disparity, 2, np.integer)
     lo, hi = int(disparity.min()), int(disparity.max())
     if lo < 0 or hi > 255:
-        raise ValueError(f"disparity values outside the 8-bit range: min {lo}, max {hi}")
+        raise ConfigError(f"disparity values outside the 8-bit range: min {lo}, max {hi}")
     return save_pgm(disparity.astype(np.uint8))
 
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
+import numpy as np
+
 Direction = tuple[int, int]
 
 # Canonical direction order; the 2-, 4- and 8-direction sets are prefixes.
@@ -74,6 +76,17 @@ def as_int(name: str, value: object) -> int:
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
+
+
+def as_array(name: str, value: object, ndim: int, dtype: type) -> np.ndarray:
+    """``np.asarray(value)``, which must be non-empty, ``ndim``-d and of a
+    dtype under ``dtype`` by ``np.issubdtype`` (``np.integer`` takes every
+    integer dtype), else ConfigError naming ``name``."""
+    a = np.asarray(value)
+    if a.size == 0 or a.ndim != ndim or not np.issubdtype(a.dtype, dtype):
+        raise ConfigError(f"{name} must be a non-empty {ndim}-d {dtype.__name__} array, "
+                          f"got shape {a.shape}, dtype {a.dtype}")
+    return a
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .cost_volume import matching_cost_rows
 from .disparity import median_rows, select_rows
 from .evaluation import DEFAULT_THRESHOLD, EvalResult, bad_pixel_rate
 from .image_io import read_disparity, read_pgm, write_disparity
-from .params import ConfigError, Direction, SgmParams, as_int, sum_volumes
+from .params import ConfigError, Direction, SgmParams, as_array, as_int, sum_volumes
 from .workers import Buffers, ForkPool, Task, fork_available, run_tasks, shared_empty, split_ranges
 
 
@@ -181,6 +181,9 @@ def _median_task(bufs: Buffers, y0: int, y1: int) -> None:
 class Executor:
     """Holds the buffers, the stage list and the optional worker pool for
     repeated runs on one image pair; reused across benchmark iterations.
+    ``median``, a Python or numpy bool, adds the median stage; any other
+    value raises ``ConfigError``, as do the argument checks
+    ``compute_disparity`` lists.
 
     ``buffers`` holds only what crosses stages: the images ``"left"`` and
     ``"right"``, the cost cube ``"mc"``, the byte volume ``"cost_sum"``
@@ -222,14 +225,9 @@ class Executor:
         threads = as_int("threads", threads)
         if threads < 1:
             raise ConfigError(f"threads must be >= 1, got {threads}")
-        left, right = np.asarray(left), np.asarray(right)
-        for name, image in (("left", left), ("right", right)):
-            if image.ndim != 2:
-                raise ConfigError(f"{name} image must be 2-d grayscale, got shape {image.shape}")
-            if image.size == 0:
-                raise ConfigError(f"{name} image is empty, shape {image.shape}")
-            if image.dtype != np.uint8:
-                raise ConfigError(f"{name} image must be uint8, got {image.dtype}")
+        if not isinstance(median, (bool, np.bool_)):
+            raise ConfigError(f"median must be a bool, got {median!r}")
+        left, right = as_array("left", left, 2, np.uint8), as_array("right", right, 2, np.uint8)
         if left.shape != right.shape:
             raise ConfigError(f"dimension mismatch: left {left.shape} vs right {right.shape}")
         self.params = params
@@ -347,7 +345,8 @@ def compute_disparity(
 
     Raises :class:`ConfigError` (a ``ValueError``) unless ``params`` is an
     :class:`SgmParams`, both images are non-empty 2-d uint8 arrays of the
-    same shape and ``threads`` is an integer >= 1.
+    same shape, ``median`` is a Python or numpy bool (the 3x3 median runs
+    when it is true) and ``threads`` is an integer >= 1.
     """
     with Executor(left, right, params, median=median, threads=threads) as ex:
         return ex.run()

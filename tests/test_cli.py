@@ -100,6 +100,14 @@ def test_corrupt_pgm_exits_1(pair_dir, tmp_path):
     assert "i/o error" in proc.stderr
 
 
+def test_sample_above_maxval_exits_1(pair_dir, tmp_path):
+    bad = tmp_path / "bad.pgm"
+    bad.write_bytes(b"P5 36 26 15 " + bytes([16]) * (36 * 26))
+    proc = run_cli("--left", bad, "--right", pair_dir / "right.pgm", "--output", tmp_path / "d.pgm")
+    assert proc.returncode == 1
+    assert "exceeds maxval 15" in proc.stderr
+
+
 def test_mismatched_dimensions_exit_2(pair_dir, tmp_path):
     other = tmp_path / "narrow.pgm"
     write_pgm(other, np.zeros((26, 20), np.uint8))
@@ -216,3 +224,33 @@ def test_stage_ab_runs_a_tree_against_itself(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "seed=5 rounds=2, maps identical" in proc.stdout, proc.stdout
     assert any(line.split()[:1] == ["walks"] for line in proc.stdout.splitlines()), proc.stdout
+
+
+_SNIPPET = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import os  # code with a comment
+
+
+class A:
+    """A class docstring."""
+
+    def f(self):
+        """A method docstring
+        over two lines."""
+        text = """a string
+        that is code."""
+        return (text,
+                os.sep)
+'''
+
+
+def test_code_lines_counts_neither_comments_blanks_nor_docstrings(tmp_path):
+    snippet = tmp_path / "snippet.py"
+    snippet.write_text(_SNIPPET)
+    script = Path(__file__).resolve().parent.parent / "scripts" / "code_lines.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the import, the class and def lines, the string's two and the return's two
+    assert proc.stdout.splitlines() == [f"     7 {snippet}", "     7 total"]

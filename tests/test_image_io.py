@@ -26,6 +26,13 @@ def test_load_rejects_wide_maxval():
         load_pgm(b"P5 2 2 65535 " + bytes(8))
 
 
+def test_load_rejects_samples_above_maxval():
+    # PGM puts every sample at or below maxval; 200 under maxval 15 used to load
+    with pytest.raises(PgmError, match="sample 200 at row 0, column 1 exceeds maxval 15"):
+        load_pgm(b"P5 2 1 15 " + bytes([0, 200]))
+    assert load_pgm(b"P5 2 1 15 " + bytes([0, 15])).tolist() == [[0, 15]]
+
+
 def test_load_rejects_color_magic():
     with pytest.raises(PgmError, match="magic"):
         load_pgm(b"P6 2 2 255 " + bytes(12))

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from sgmstereo import (
     write_disparity,
     write_pgm,
 )
-from sgmstereo import cli, pipeline
+from sgmstereo import aggregation, cli, pipeline
 from sgmstereo.oracle import oracle_census, oracle_matching_cost, oracle_pipeline
-from sgmstereo.params import SUM_BITS
+from sgmstereo.params import SUM_BITS, Direction
 from sgmstereo.pipeline import Executor
 from sgmstereo.workers import fork_available
 
@@ -104,8 +105,9 @@ def _pool_expected() -> bool:
 @example(seed=4, width=2, height=12, disparities=3, paths=8)  # 13 diagonal lines, 2 columns
 @settings(deadline=None, max_examples=20)
 def test_forced_pool_matches_oracle_on_random_pairs(seed, width, height, disparities, paths):
-    # extents of at most 12 rows and columns fall below the 8 row tasks and,
-    # at width 1, the 2 column chunks of a 2-worker pool
+    # a 2-worker pool cuts each row stage into 2 row ranges and each walk
+    # stage into 2 bands of lines: a frame of one row, or at width 1 of one
+    # vertical line, leaves a stage a single task
     rng = np.random.default_rng(seed)
     left = rng.integers(0, 256, (height, width), np.uint8)
     right = rng.integers(0, 256, (height, width), np.uint8)
@@ -322,6 +324,70 @@ def test_the_stage_list_is_pinned(monkeypatch, layout, width, height, disparitie
             visits = [{((kw["dst"], kw["add"], kw["costs"]), kw["second"]) for _, kw in tasks}
                       for name, tasks in ex._stages if name.startswith("aggregate")]
             assert visits == [{v} for v in _VISITS[layout]]
+
+
+# the peak traced allocation of a warm serial VGA D=128 frame, the same at
+# every layout: the matching-cost task's census words (2 * 4 * H * W B),
+# and, while it builds the right image's, the census scratch of one
+# ``census_rows`` call (its padded run, four byte planes and a compare
+# plane: 1,870,136 B at 640x480), plus a little
+_FRAME_SCRATCH_BYTES = 4_329_624
+
+
+def _walk_steps(direction: Direction, height: int, width: int) -> int:
+    """``_step`` calls of one serial walk stage: one a step, W for a
+    horizontal stage and H for a vertical one, paired or not, and 2 * H for
+    a diagonal pair, which relaxes each direction's window on its own."""
+    rx, ry = direction
+    if rx and ry:
+        return 2 * height
+    return width if ry == 0 else height
+
+
+@pytest.mark.parametrize(("width", "height", "disparities"), [(20, 12, 8), (640, 480, 128)])
+@pytest.mark.parametrize("layout", ["byte", "fold", "packed"])
+def test_walk_steps_and_frame_scratch_are_pinned(monkeypatch, layout, width, height, disparities):
+    # serial frames: each walk stage's _step calls, counted over one frame,
+    # and at VGA the peak traced allocation of a second, warm frame.  At
+    # VGA the stages take 640 and 480 calls, and each diagonal pair 960
+    paths = {"byte": 2, "fold": 4, "packed": 8}[layout]
+    params = SgmParams(disparities=disparities, p1=7, p2=84, paths=paths)
+    assert _layout(paths, params.p2) == layout
+    left, right = shifted_pair(width, height, 2, seed=24)
+    calls = [0]
+    step, run_tasks = aggregation._step, pipeline.run_tasks
+
+    def counting_step(*operands):
+        calls[0] += 1
+        step(*operands)
+
+    per_stage = []
+
+    def counting_run_tasks(pool, buffers, tasks):
+        before = calls[0]
+        run_tasks(pool, buffers, tasks)
+        per_stage.append(calls[0] - before)
+
+    monkeypatch.setattr(aggregation, "_step", counting_step)
+    monkeypatch.setattr(pipeline, "run_tasks", counting_run_tasks)
+    with Executor(left, right, params, threads=1) as ex:
+        ex.run()
+        monkeypatch.undo()
+        names = [name for name, _ in ex._stages]
+        walks = [tasks[0][1]["direction"] for name, tasks in ex._stages if name.startswith("aggregate")]
+        assert names == ["matching_cost", *_WALK_STAGES[paths], "selection", "median"]
+        assert per_stage == [0, *(_walk_steps(d, height, width) for d in walks), 0, 0]
+        if width < 640:
+            return
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            ex.run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert abs(peak - _FRAME_SCRATCH_BYTES) <= 0.05 * _FRAME_SCRATCH_BYTES, \
+        f"peak {peak} B against {_FRAME_SCRATCH_BYTES} B, numpy {np.__version__}"
 
 
 def _walked_cells(height: int, width: int, kwargs: dict) -> np.ndarray:
@@ -753,6 +819,26 @@ def test_bad_images_are_config_errors(shape, dtype, problem):
     with pytest.raises(ConfigError, match=problem):
         compute_disparity(image, image, SgmParams(disparities=4, paths=2))
     assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("median", ["no", 0, None], ids=["str", "int", "none"])
+@pytest.mark.parametrize("entry", [compute_disparity, Executor], ids=["compute_disparity", "Executor"])
+def test_median_that_is_not_a_bool_is_a_config_error(entry, median):
+    # "no" and 2 used to run the filter, 0 and None to skip it
+    left, right = shifted_pair(20, 12, 2, seed=22)
+    with pytest.raises(ConfigError, match="median must be a bool"):
+        entry(left, right, SgmParams(disparities=4, paths=2), median=median)
+
+
+def test_median_takes_numpy_bools():
+    left, right = shifted_pair(20, 12, 2, seed=22)
+    params = SgmParams(disparities=4, paths=2)
+    for median in (np.True_, np.False_):
+        expected = compute_disparity(left, right, params, median=bool(median))
+        assert (compute_disparity(left, right, params, median=median) == expected).all()
+        with Executor(left, right, params, median=median) as ex:
+            assert ("disp_out" in ex.buffers) == bool(median)
+            assert (ex.run() == expected).all()
 
 
 def test_bench_times_iterations_after_one_warmup_frame(tmp_path, monkeypatch):
