@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .params import SUM_BITS, ConfigError, as_array, as_int
+from .params import MAX_DISPARITIES, SUM_BITS, as_array, as_int
 
 # bytes of the uint32 xor scratch per row block: larger blocks spread
 # numpy's per-call cost over more pixels, and 1 MiB keeps the scratch a
@@ -56,12 +56,9 @@ def matching_cost_rows(base: np.ndarray, match: np.ndarray, out: np.ndarray, y0:
 
 def matching_cost(base: np.ndarray, match: np.ndarray, disparities: int) -> np.ndarray:
     """Build the (H, W, D) byte cost cube from two census images."""
-    base, match = as_array("base", base, 2, np.uint32), as_array("match", match, 2, np.uint32)
-    if base.shape != match.shape:
-        raise ConfigError(f"dimension mismatch: base {base.shape} vs match {match.shape}")
-    disparities = as_int("disparities", disparities)
-    if not 1 <= disparities <= 256:
-        raise ConfigError(f"disparities must be in [1, 256], got {disparities}")
+    base = as_array("base", base, 2, np.uint32)
+    match = as_array("match", match, 2, np.uint32, like=("base", base))
+    disparities = as_int("disparities", disparities, 1, MAX_DISPARITIES)
     height, width = base.shape
     out = np.empty((height, width, disparities), dtype=np.uint8)
     matching_cost_rows(base, match, out, 0, height)

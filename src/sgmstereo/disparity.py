@@ -89,12 +89,10 @@ def select_disparity(volumes: Sequence[np.ndarray], params: SgmParams | None = N
 
     Ties break toward the lowest disparity index.
     """
-    volumes = [as_array(f"volumes[{i}]", v, 3, np.uint8) for i, v in enumerate(volumes)]
-    if not volumes:
+    if len(volumes) == 0:
         raise ConfigError("need at least one aggregated volume")
-    for v in volumes:
-        if v.shape != volumes[0].shape:
-            raise ConfigError(f"shape mismatch between volumes: {v.shape} vs {volumes[0].shape}")
+    first = as_array("volumes[0]", volumes[0], 3, np.uint8)
+    volumes = [as_array(f"volumes[{i}]", v, 3, np.uint8, like=("volumes[0]", first)) for i, v in enumerate(volumes)]
     height, width, disparities = volumes[0].shape
     if params is not None and disparities != params.disparities:
         raise ConfigError(f"volumes have {disparities} disparity levels, params expect {params.disparities}")

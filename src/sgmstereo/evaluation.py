@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .params import SgmParams
+from .params import ConfigError, SgmParams, as_array, as_int
 
 DEFAULT_THRESHOLD = 3
 
@@ -41,21 +42,17 @@ def bad_pixel_rate(
 ) -> EvalResult:
     """Fraction of evaluated pixels whose disparity error exceeds threshold.
 
-    ``mask`` selects the pixels to evaluate (nonzero means evaluate, e.g. a
-    non-occluded mask); without it every pixel counts.
+    ``est`` and ``gt`` are non-empty 2-d integer maps of one shape and
+    ``threshold`` an integer >= 0, else ConfigError.  ``mask``, of
+    ``est``'s shape, selects the pixels to evaluate (nonzero means
+    evaluate, e.g. a non-occluded mask); without it every pixel counts.
     """
-    est = np.asarray(est)
-    gt = np.asarray(gt)
-    if est.shape != gt.shape:
-        raise ValueError(f"shape mismatch: estimate {est.shape} vs ground truth {gt.shape}")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
+    est = as_array("est", est, 2, np.integer)
+    gt = as_array("gt", gt, 2, np.integer, like=("est", est))
+    threshold = as_int("threshold", threshold, 0)
     diff = np.abs(est.astype(np.int64) - gt.astype(np.int64))
     if mask is not None:
-        mask = np.asarray(mask)
-        if mask.shape != est.shape:
-            raise ValueError(f"mask shape {mask.shape} does not match images {est.shape}")
-        diff = diff[mask != 0]
+        diff = diff[as_array("mask", mask, 2, np.generic, like=("est", est)) != 0]
     total = int(diff.size)
     if total == 0:
         raise ValueError("no pixels selected for evaluation")
@@ -64,9 +61,10 @@ def bad_pixel_rate(
 
 
 def disparity_to_depth(disparity: float, geometry: CameraGeometry) -> float:
-    """Triangulated depth in meters: focal * baseline / disparity."""
-    if disparity <= 0:
-        raise ValueError(f"disparity must be positive to triangulate, got {disparity}")
+    """Triangulated depth in meters: focal * baseline / disparity, which
+    must be a positive number (no array or bool), else ConfigError."""
+    if isinstance(disparity, bool) or not isinstance(disparity, numbers.Real) or not disparity > 0:
+        raise ConfigError(f"disparity must be a positive number to triangulate, got {disparity!r}")
     return geometry.focal * geometry.baseline / disparity
 
 

@@ -27,6 +27,9 @@ PATH_SETS: dict[int, tuple[Direction, ...]] = {
     8: _ALL_DIRECTIONS,
 }
 
+# disparity indices are bytes in the pipeline's maps
+MAX_DISPARITIES = 256
+
 # Hamming costs peak at 31, so p2 <= 224 keeps every aggregated cost <= 255
 # and the volumes can stay single-byte.
 MAX_COST = 31
@@ -70,22 +73,36 @@ class ConfigError(ValueError):
     """Invalid pipeline configuration or inconsistent inputs."""
 
 
-def as_int(name: str, value: object) -> int:
+def as_int(name: str, value: object, lo: int | None = None, hi: int | None = None) -> int:
     """``value`` as an ``int``: Python and numpy integers pass, bools and
-    everything else raise ConfigError naming ``name``."""
+    everything else raise ConfigError naming ``name``, as does an integer
+    below ``lo`` or above ``hi`` where those are given."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if (lo is not None and value < lo) or (hi is not None and value > hi):
+        bounds = f">= {lo}" if hi is None else f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+        raise ConfigError(f"{name} must be an integer {bounds}, got {value}")
+    return value
 
 
-def as_array(name: str, value: object, ndim: int, dtype: type) -> np.ndarray:
+def as_array(name: str, value: object, ndim: int, dtype: type,
+             like: tuple[str, np.ndarray] | None = None) -> np.ndarray:
     """``np.asarray(value)``, which must be non-empty, ``ndim``-d and of a
     dtype under ``dtype`` by ``np.issubdtype`` (``np.integer`` takes every
-    integer dtype), else ConfigError naming ``name``."""
-    a = np.asarray(value)
+    integer dtype), else ConfigError naming ``name``; a ragged sequence
+    fails as the object array it makes.  With ``like``, an
+    ``(other_name, other)`` pair, the array must then have ``other``'s
+    shape, else a "dimension mismatch" ConfigError naming both."""
+    try:
+        a = np.asarray(value)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        a = np.asarray(value, dtype=object)
     if a.size == 0 or a.ndim != ndim or not np.issubdtype(a.dtype, dtype):
         raise ConfigError(f"{name} must be a non-empty {ndim}-d {dtype.__name__} array, "
                           f"got shape {a.shape}, dtype {a.dtype}")
+    if like is not None and a.shape != like[1].shape:
+        raise ConfigError(f"dimension mismatch: {name} shape {a.shape} vs {like[0]} shape {like[1].shape}")
     return a
 
 
@@ -105,10 +122,8 @@ class SgmParams:
     paths: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("disparities", "p1", "p2", "paths"):
-            object.__setattr__(self, name, as_int(name, getattr(self, name)))
-        if not 1 <= self.disparities <= 256:
-            raise ConfigError(f"disparities must be an integer in [1, 256], got {self.disparities}")
+        for name, *bounds in (("disparities", 1, MAX_DISPARITIES), ("p1",), ("p2",), ("paths",)):
+            object.__setattr__(self, name, as_int(name, getattr(self, name), *bounds))
         if not 0 < self.p1 < self.p2 <= MAX_P2:
             raise ConfigError(
                 f"penalties must satisfy 0 < p1 < p2 <= {MAX_P2}, got p1={self.p1}, p2={self.p2}"

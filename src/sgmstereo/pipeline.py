@@ -30,6 +30,10 @@ from .workers import Buffers, ForkPool, Task, fork_available, run_tasks, shared_
 
 
 def default_threads() -> int:
+    """The CPUs the process may run on: its affinity mask where the
+    platform reports one, else the host's logical CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -222,19 +226,16 @@ class Executor:
                  median: bool = True, threads: int = 1):
         if not isinstance(params, SgmParams):
             raise ConfigError(f"params must be an SgmParams, got {params!r}")
-        threads = as_int("threads", threads)
-        if threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {threads}")
+        threads = as_int("threads", threads, 1)
         if not isinstance(median, (bool, np.bool_)):
             raise ConfigError(f"median must be a bool, got {median!r}")
-        left, right = as_array("left", left, 2, np.uint8), as_array("right", right, 2, np.uint8)
-        if left.shape != right.shape:
-            raise ConfigError(f"dimension mismatch: left {left.shape} vs right {right.shape}")
-        self.params = params
+        left = as_array("left", left, 2, np.uint8)
+        right = as_array("right", right, 2, np.uint8, like=("left", left))
         self.median = median
+        self.closed = False
         height, width = left.shape
         volume = (height, width, params.disparities)
-        # processes beyond the host's logical CPUs are pure overhead
+        # processes beyond the CPUs the process may run on are pure overhead
         self.workers = min(threads, default_threads())
         parallel = self.workers > 1 and fork_available() and math.prod(volume) >= self.MIN_PARALLEL_CELLS
         if not parallel:
@@ -313,6 +314,7 @@ class Executor:
         self.pool = ForkPool(self.workers, bufs) if parallel else None
 
     def close(self) -> None:
+        self.closed = True
         if self.pool is not None:
             self.pool.close()
             self.pool = None
@@ -325,7 +327,9 @@ class Executor:
 
     def run(self, timings: dict[str, float] | None = None) -> np.ndarray:
         """One full compute pass; returns the disparity map as a new int32
-        array."""
+        array.  Raises RuntimeError after ``close()``."""
+        if self.closed:
+            raise RuntimeError("executor is closed")
         for name, tasks in self._stages:
             t0 = time.perf_counter()
             run_tasks(self.pool, self.buffers, tasks)
@@ -356,19 +360,14 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Run the configured pipeline: load the pair, compute (optionally many
     times for benchmarking), write the disparity map, evaluate if ground
     truth is given.  ``bench_iters`` and ``threshold`` must be integers
-    >= 0, else ConfigError."""
-    bench_iters = as_int("bench_iters", config.bench_iters)
-    threshold = as_int("threshold", config.threshold)
-    if bench_iters < 0:
-        raise ConfigError(f"bench_iters must be >= 0, got {bench_iters}")
-    if threshold < 0:
-        raise ConfigError(f"threshold must be >= 0, got {threshold}")
+    >= 0 and the ground truth, when given, of the images' shape, else
+    ConfigError."""
+    bench_iters = as_int("bench_iters", config.bench_iters, 0)
+    threshold = as_int("threshold", config.threshold, 0)
 
     left = read_pgm(config.left)
     right = read_pgm(config.right)
-    gt = read_disparity(config.gt) if config.gt is not None else None
-    if gt is not None and gt.shape != left.shape:
-        raise ConfigError(f"dimension mismatch: ground truth {gt.shape} vs images {left.shape}")
+    gt = None if config.gt is None else as_array("gt", read_disparity(config.gt), 2, np.integer, like=("left", left))
 
     bench: BenchReport | None = None
     with Executor(left, right, config.params, median=config.median, threads=config.threads) as ex:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .census import WINDOW_HALF_X
+from .params import as_int
+
 
 def shifted_pair(width: int, height: int, shift: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Random-texture pair where every left pixel sits ``shift`` columns to
@@ -12,8 +15,7 @@ def shifted_pair(width: int, height: int, shift: int, seed: int = 0) -> tuple[np
     Both views crop a common texture, so the true disparity is uniformly
     ``shift`` with no occlusions.
     """
-    if shift < 0:
-        raise ValueError(f"shift must be >= 0, got {shift}")
+    shift = as_int("shift", shift, 0)
     rng = np.random.default_rng(seed)
     texture = rng.integers(0, 256, size=(height, width + shift), dtype=np.uint8)
     left = texture[:, :width].copy()
@@ -21,11 +23,11 @@ def shifted_pair(width: int, height: int, shift: int, seed: int = 0) -> tuple[np
     return left, right
 
 
-def shift_recovery_mask(width: int, height: int, shift: int, census_margin: int = 4) -> np.ndarray:
+def shift_recovery_mask(width: int, height: int, shift: int) -> np.ndarray:
     """Interior mask for shift-recovery checks: drops the ``shift`` columns
-    at the left border (no true match inside the image) and a census-window
-    margin on every side."""
+    at the left border (no true match inside the image) and a margin of the
+    census window's half width on every side."""
+    margin = WINDOW_HALF_X
     mask = np.zeros((height, width), dtype=np.uint8)
-    x0 = max(shift, census_margin)
-    mask[census_margin : height - census_margin, x0 : width - census_margin] = 1
+    mask[margin : height - margin, max(shift, margin) : width - margin] = 1
     return mask

@@ -51,7 +51,7 @@ def test_select_rejects_bad_input():
     with pytest.raises(ValueError, match="at least one"):
         select_disparity([])
     a = np.zeros((2, 2, 2), np.uint8)
-    with pytest.raises(ValueError, match="shape mismatch"):
+    with pytest.raises(ValueError, match="dimension mismatch"):
         select_disparity([a, np.zeros((2, 3, 2), np.uint8)])
 
 

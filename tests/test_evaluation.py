@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sgmstereo import CameraGeometry, SgmParams, bad_pixel_rate, disparity_to_depth, metrics_csv
+from sgmstereo import CameraGeometry, ConfigError, SgmParams, bad_pixel_rate, disparity_to_depth, metrics_csv
 
 
 def test_perfect_estimate_scores_one():
@@ -69,11 +69,42 @@ def test_shape_mismatch_rejected():
         bad_pixel_rate(np.zeros((2, 2), np.int32), np.zeros((2, 3), np.int32))
 
 
+@pytest.mark.parametrize(
+    ("name", "value"),
+    [("est", np.zeros(3, np.int32)), ("est", np.zeros((2, 2))), ("est", np.zeros((2, 2), bool)),
+     ("gt", np.zeros(3, np.int32)), ("gt", np.zeros((2, 2))), ("gt", np.zeros((2, 2), bool))],
+    ids=["est-1d", "est-float", "est-bool", "gt-1d", "gt-float", "gt-bool"],
+)
+def test_maps_must_be_2d_integer_arrays(name, value):
+    # 1-d, float and bool maps used to be scored like disparity maps
+    maps = {"est": np.zeros((2, 2), np.int32), "gt": np.zeros((2, 2), np.int32), name: value}
+    with pytest.raises(ConfigError, match=f"^{name} must be a non-empty 2-d integer array"):
+        bad_pixel_rate(maps["est"], maps["gt"])
+
+
+@pytest.mark.parametrize("threshold", [True, 1.5, -1], ids=["bool", "float", "negative"])
+def test_threshold_must_be_an_integer_at_least_zero(threshold):
+    # threshold=True used to pass and reach the result as True
+    gt = np.zeros((2, 2), np.int32)
+    with pytest.raises(ConfigError, match="^threshold must be an integer"):
+        bad_pixel_rate(gt, gt, threshold=threshold)
+    assert bad_pixel_rate(gt, gt, threshold=np.int64(2)).threshold == 2
+
+
 def test_depth_examples():
     assert disparity_to_depth(1, CameraGeometry(focal=1, baseline=1)) == 1.0
     assert disparity_to_depth(63, CameraGeometry(focal=700, baseline=0.54)) == pytest.approx(6.0)
     with pytest.raises(ValueError, match="positive"):
         disparity_to_depth(0, CameraGeometry(focal=700, baseline=0.54))
+    assert disparity_to_depth(np.float32(2), CameraGeometry(focal=1, baseline=1)) == 0.5
+
+
+@pytest.mark.parametrize("disparity", [np.array([1.0, 2.0]), np.array(2.0), -1.5, float("nan"), True, "2"],
+                         ids=["array", "0-d-array", "negative", "nan", "bool", "str"])
+def test_depth_rejects_what_is_not_one_positive_number(disparity):
+    # an array used to raise numpy's "truth value of an array is ambiguous"
+    with pytest.raises(ConfigError, match="^disparity must be a positive number"):
+        disparity_to_depth(disparity, CameraGeometry(focal=700, baseline=0.54))
 
 
 @given(st.integers(1, 254))

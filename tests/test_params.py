@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from sgmstereo import (
     SgmParams,
     aggregate_all,
     aggregate_path,
+    bad_pixel_rate,
     census_transform,
     compute_disparity,
     dump_cost_volume,
@@ -14,8 +17,9 @@ from sgmstereo import (
     save_disparity,
     save_pgm,
     select_disparity,
+    shifted_pair,
 )
-from sgmstereo.params import as_array
+from sgmstereo.params import as_array, as_int
 from sgmstereo.pipeline import Executor
 
 _PARAMS = SgmParams(disparities=4, p1=1, p2=10, paths=2)
@@ -40,6 +44,8 @@ _ENTRIES = {
     "Executor-left": (lambda a: Executor(a, _IMAGE, _PARAMS), "left", _IMAGE),
     "Executor-right": (lambda a: Executor(_IMAGE, a, _PARAMS), "right", _IMAGE),
     "compute_disparity": (lambda a: compute_disparity(a, _IMAGE, _PARAMS), "left", _IMAGE),
+    "bad_pixel_rate-est": (lambda a: bad_pixel_rate(a, _MAP), "est", _MAP),
+    "bad_pixel_rate-gt": (lambda a: bad_pixel_rate(_MAP, a), "gt", _MAP),
 }
 
 _BAD = {
@@ -62,13 +68,34 @@ def test_public_array_entries_name_the_bad_argument(entry, bad):
     assert f"got shape {value.shape}, dtype {value.dtype}" in message
 
 
+# every check of one argument's shape against another's: the call with a
+# narrower array in place, its name and the name of the array it must match
+_MATCHED = {
+    "matching_cost": (lambda a: matching_cost(_CENSUS, a, 4), "match", "base", _CENSUS),
+    "Executor": (lambda a: Executor(_IMAGE, a, _PARAMS), "right", "left", _IMAGE),
+    "select_disparity": (lambda a: select_disparity([_VOLUME, a]), "volumes[1]", "volumes[0]", _VOLUME),
+    "bad_pixel_rate-gt": (lambda a: bad_pixel_rate(_MAP, a), "gt", "est", _MAP),
+    "bad_pixel_rate-mask": (lambda a: bad_pixel_rate(_MAP, _MAP, mask=a), "mask", "est", _MAP + 1),
+}
+
+
+@pytest.mark.parametrize("entry", list(_MATCHED))
+def test_shape_mismatches_name_both_arguments(entry):
+    call, name, other, good = _MATCHED[entry]
+    call(good)
+    message = f"dimension mismatch: {name} shape {good[:, :4].shape} vs {other} shape {good.shape}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call(good[:, :4])
+
+
 def test_as_array_takes_array_likes_of_its_rank_and_dtype():
     assert as_array("x", [[1, 2]], 2, np.integer).tolist() == [[1, 2]]
     assert as_array("x", _IMAGE, 2, np.uint8) is _IMAGE
 
 
-@pytest.mark.parametrize("value", [np.int8(3), [[-1.5]], [["a"]], [[True]], np.zeros((1, 0), int), None],
-                         ids=["scalar", "float", "str", "bool", "empty", "none"])
+@pytest.mark.parametrize("value", [np.int8(3), [[-1.5]], [["a"]], [[True]], np.zeros((1, 0), int), None,
+                                   [[1, 2], [3]], [[[1], [2]], [[3], [4, 5]]]],
+                         ids=["scalar", "float", "str", "bool", "empty", "none", "ragged", "ragged-deep"])
 def test_as_array_rejects_other_values_with_a_config_error(value):
     with pytest.raises(ConfigError, match="^x must be a non-empty 2-d integer array, got shape"):
         as_array("x", value, 2, np.integer)
@@ -81,3 +108,29 @@ def test_matching_cost_disparities_must_be_an_integer(disparities):
     with pytest.raises(ConfigError, match="disparities must be an integer"):
         matching_cost(_CENSUS, _CENSUS, disparities)
     assert matching_cost(_CENSUS, _CENSUS, np.int64(4)).shape == (6, 5, 4)
+
+
+def test_a_ragged_list_names_its_argument():
+    # numpy's own "inhomogeneous shape" ValueError used to escape unnamed
+    with pytest.raises(ConfigError, match=r"^disparity must be a non-empty 2-d integer array, got shape \(2,\)"):
+        median_filter_3x3([[1, 2, 3], [4, 5]])
+
+
+@pytest.mark.parametrize(
+    ("lo", "hi", "inside", "outside", "bounds"),
+    [(1, None, [1, 9], [0, -3], ">= 1"), (1, 256, [1, 256], [0, 257], r"in \[1, 256\]"), (None, 4, [4], [5], "<= 4")],
+    ids=["lo", "lo-and-hi", "hi"],
+)
+def test_as_int_takes_integers_in_range_only(lo, hi, inside, outside, bounds):
+    for value in inside:
+        assert as_int("n", np.int64(value), lo, hi) == value
+    for value in outside:
+        with pytest.raises(ConfigError, match=f"^n must be an integer {bounds}, got {value}$"):
+            as_int("n", value, lo, hi)
+
+
+def test_shifted_pair_shift_must_be_an_integer_at_least_zero():
+    with pytest.raises(ConfigError, match="^shift must be an integer >= 0, got -1$"):
+        shifted_pair(8, 4, -1)
+    with pytest.raises(ConfigError, match="^shift must be an integer"):
+        shifted_pair(8, 4, 1.0)

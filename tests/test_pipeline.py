@@ -82,14 +82,14 @@ def test_forked_pool_matches_oracle(monkeypatch, paths):
     left, right = shifted_pair(23, 17, 3, seed=15)
     params = SgmParams(disparities=8, p1=5, p2=60, paths=paths)
     with Executor(left, right, params, threads=2) as ex:
-        if fork_available() and (os.cpu_count() or 1) >= 2:
+        if _pool_expected():
             assert ex.pool is not None
         disp = ex.run()
     assert (disp == oracle_pipeline(left, right, params)).all()
 
 
 def _pool_expected() -> bool:
-    return fork_available() and (os.cpu_count() or 1) >= 2
+    return fork_available() and pipeline.default_threads() >= 2
 
 
 @given(
@@ -632,6 +632,33 @@ def test_executor_reuse_is_stable():
         first = ex.run()
         second = ex.run()
     assert (first == second).all()
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=["serial", "pool"])
+def test_run_after_close_raises(monkeypatch, threads):
+    # a closed executor used to run the frame in-process and return a map
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = shifted_pair(24, 18, 3, seed=12)
+    ex = Executor(left, right, SgmParams(disparities=8, paths=2), threads=threads)
+    assert (ex.pool is not None) == (threads == 2 and _pool_expected())
+    ex.run()
+    ex.close()
+    with pytest.raises(RuntimeError, match="^executor is closed$"):
+        ex.run()
+    ex.close()  # closing again is harmless
+
+
+def test_default_threads_counts_the_cpus_the_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pipeline.default_threads() == 1
+    monkeypatch.setattr(Executor, "MIN_PARALLEL_CELLS", 0)
+    left, right = shifted_pair(24, 18, 3, seed=12)
+    params = SgmParams(disparities=8, paths=4)
+    with Executor(left, right, params, threads=8) as ex:
+        assert ex.pool is None and ex.workers == 1
+        assert (ex.run() == compute_disparity(left, right, params)).all()
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert pipeline.default_threads() == (os.cpu_count() or 1)
 
 
 def test_no_median_differs_on_outlier_prone_input():

@@ -15,14 +15,12 @@ block sizes and windows.  And the sums the pipeline left in its buffers
 must keep the bound paths * C <= S <= paths * (C + p2).
 """
 
-import os
-
 import numpy as np
 import pytest
 
 from sgmstereo import SgmParams, aggregate_path, census_transform, median_filter_3x3, shifted_pair
 from sgmstereo.params import SUM_BITS, sum_volumes
-from sgmstereo.pipeline import Executor
+from sgmstereo.pipeline import Executor, default_threads
 from sgmstereo.workers import fork_available
 
 WIDTH, HEIGHT, DISPARITIES, P2 = 640, 480, 128, 84
@@ -129,7 +127,7 @@ def test_vga_frames_match_the_naive_walk(vga, naive_maps, layout, threads):
     left, right, _, _ = vga
     params = SgmParams(disparities=DISPARITIES, p1=7, p2=P2, paths=PATHS[layout])
     with Executor(left, right, params, threads=threads) as ex:
-        assert (ex.pool is not None) == (threads == 2 and fork_available() and (os.cpu_count() or 1) >= 2)
+        assert (ex.pool is not None) == (threads == 2 and fork_available() and default_threads() >= 2)
         assert (ex.run() == naive_maps[params.paths]).all()
 
 
@@ -141,7 +139,7 @@ def test_vga_frames_match_the_stage_composition(vga, layout, threads):
     assert sum_volumes(params.directions, params.p2) == layout
     expected = reference(params)
     with Executor(left, right, params, threads=threads) as ex:
-        assert (ex.pool is not None) == (threads == 2 and fork_available() and (os.cpu_count() or 1) >= 2)
+        assert (ex.pool is not None) == (threads == 2 and fork_available() and default_threads() >= 2)
         disp = ex.run()
         bufs = ex.buffers
         if layout == "byte":

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from sgmstereo.pipeline import default_threads
 from sgmstereo.workers import ForkPool, fork_available
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -158,4 +159,47 @@ def test_workers_exit_when_the_parent_is_killed():
     """)
     assert result.returncode == 0, result.stderr
     assert "workers: 2" in result.stdout
+    assert "alive: 0" in result.stdout
+
+
+@pytest.mark.skipif(default_threads() < 2, reason="a 2-worker pool needs 2 CPUs in the process's budget")
+def test_killed_worker_fails_a_production_size_frame():
+    # the packed layout at 640x480, D=128, 8 paths on 2 workers; one
+    # worker is killed about 50 ms into the frame, in its first stages
+    result = run_script("""
+        import os
+        import signal
+        import threading
+        import time
+
+        from sgmstereo import SgmParams, shifted_pair
+        from sgmstereo.params import sum_volumes
+        from sgmstereo.pipeline import Executor
+
+        left, right = shifted_pair(640, 480, 10, seed=3)
+        params = SgmParams(disparities=128, paths=8)
+        assert sum_volumes(params.directions, params.p2) == "packed"
+        ex = Executor(left, right, params, threads=2)
+        assert ex.pool is not None
+        procs = list(ex.pool._procs)
+        print("victim:", procs[0].pid)
+        threading.Timer(0.05, os.kill, (procs[0].pid, signal.SIGKILL)).start()
+        t0 = time.monotonic()
+        try:
+            ex.run()
+        except RuntimeError as exc:
+            print("raised:", exc)
+        print("elapsed: %.3f" % (time.monotonic() - t0))
+        try:
+            ex.run()
+        except RuntimeError as exc:
+            print("again:", exc)
+        ex.close()
+        print("alive:", sum(p.is_alive() for p in procs))
+    """)
+    assert result.returncode == 0, result.stderr
+    victim = result.stdout.split("victim:")[1].split()[0]
+    assert f"raised: worker process {victim} died with exit code -9" in result.stdout
+    assert float(result.stdout.split("elapsed:")[1].split()[0]) < 10
+    assert "again: worker pool is broken" in result.stdout
     assert "alive: 0" in result.stdout
